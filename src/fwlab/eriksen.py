@@ -79,9 +79,20 @@ def _inv_sqrt_coeffs(order: int) -> list[Fraction]:
 
 
 def _series_apply(coeffs: list[Fraction], x: NCPoly, weight_max: int) -> NCPoly:
-    """Horner evaluation of sum_j coeffs[j] * x**j, truncated by weight."""
-    acc = scalar(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
+    """Horner evaluation of sum_j coeffs[j] * x**j, truncated by weight.
+
+    Every word of x**j weighs at least j times the lightest word of x, so
+    the series stops at order weight_max // w_min; coefficients beyond it
+    are ignored.  An argument with a weight-0 word has no such order.
+    """
+    order = len(coeffs) - 1
+    if not x.is_zero:
+        w_min = min(w.weight for w, _ in x.items())
+        if w_min == 0:
+            raise ValueError("series argument has a weight-0 word; its truncation is not exact")
+        order = min(order, weight_max // w_min)
+    acc = scalar(coeffs[order])
+    for c in reversed(coeffs[:order]):
         acc = mul(acc, x, weight_max) + scalar(c)
     return acc
 

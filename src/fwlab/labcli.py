@@ -222,8 +222,8 @@ def _word_label(word: Word) -> str:
 
 
 def cmd_eriksen_series(cfg: EriksenSeriesConfig, out_dir: str | None) -> int:
-    if cfg.weight_max < 1 or cfg.weight_max > 10:
-        raise ConfigError("weight_max must be between 1 and 10")
+    if cfg.weight_max < 1 or cfg.weight_max > 12:
+        raise ConfigError("weight_max must be between 1 and 12")
     if cfg.compare and cfg.weight_max > 8:
         raise ConfigError("comparison mode supports weight_max <= 8 (reference data)")
     report = _report_header(cfg)
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--compute-only",
         action="store_true",
         default=None,
-        help="emit the engine series without comparing (allows weight_max up to 10)",
+        help="emit the engine series without comparing (allows weight_max up to 12)",
     )
     p.add_argument(
         "--perturb-a24",

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -66,17 +67,16 @@ def _o_count(letters: str) -> int:
 
 @dataclass(frozen=True, slots=True)
 class Word:
-    """Normal-form word ``beta^beta * letters * m^m_power``."""
+    """Normal-form word ``beta^beta * letters * m^m_power``.
+
+    Construction does not validate: words are checked where they enter
+    the algebra (``NCPoly(...)``, ``from_word``, ``poly_from_json_obj``),
+    and products of valid words are valid.
+    """
 
     beta: int
     letters: str
     m_power: int
-
-    def __post_init__(self) -> None:
-        if self.beta not in (0, 1):
-            raise ValueError(f"beta exponent must be 0 or 1, got {self.beta}")
-        if any(c not in _ATOM_WEIGHT for c in self.letters):
-            raise ValueError(f"letters must be over E/O, got {self.letters!r}")
 
     @property
     def weight(self) -> int:
@@ -91,6 +91,13 @@ class Word:
         return (self.beta, self.letters, self.m_power)
 
 
+def _check_word(word: Word) -> None:
+    if word.beta not in (0, 1):
+        raise ValueError(f"beta exponent must be 0 or 1, got {word.beta}")
+    if any(c not in _ATOM_WEIGHT for c in word.letters):
+        raise ValueError(f"letters must be over E/O, got {word.letters!r}")
+
+
 _IDENTITY_WORD = Word(0, "", 0)
 
 
@@ -103,6 +110,7 @@ class NCPoly:
         clean: dict[Word, Fraction] = {}
         if terms:
             for word, coeff in terms.items():
+                _check_word(word)
                 c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
                 if c:
                     clean[word] = c
@@ -325,25 +333,30 @@ def mul(a: NCPoly, b: NCPoly, weight_max: int) -> NCPoly:
     if weight_max < 0:
         raise ValueError("weight_max must be >= 0")
     acc: dict[Word, Fraction] = {}
-    b_items = list(b.items())
+    # lightest first, so each row stops at the first b term over budget
+    b_items = sorted(((wb.weight, wb, cb) for wb, cb in b.items()), key=itemgetter(0))
     for wa, ca in a.items():
-        weight_a = wa.weight
-        if weight_a > weight_max:
+        budget = weight_max - wa.weight
+        if budget < 0:
             continue
         a_flip = _o_count(wa.letters) & 1
-        for wb, cb in b_items:
-            if weight_a + wb.weight > weight_max:
-                continue
+        for weight_b, wb, cb in b_items:
+            if weight_b > budget:
+                break
             # move wb's beta through wa's letters: one sign per O crossed
             c = ca * cb
             if wb.beta and a_flip:
                 c = -c
             word = Word(wa.beta ^ wb.beta, wa.letters + wb.letters, wa.m_power + wb.m_power)
-            s = acc.get(word, Fraction(0)) + c
-            if s:
-                acc[word] = s
+            prev = acc.get(word)
+            if prev is None:
+                acc[word] = c
             else:
-                acc.pop(word, None)
+                s = prev + c
+                if s:
+                    acc[word] = s
+                else:
+                    del acc[word]
     return _wrap(acc)
 
 
@@ -404,5 +417,6 @@ def poly_from_json_obj(obj: Iterable[Mapping]) -> NCPoly:
     acc: dict[Word, Fraction] = {}
     for entry in obj:
         word = Word(int(entry["beta"]), str(entry["word"]), int(entry["m_power"]))
+        _check_word(word)
         acc[word] = acc.get(word, Fraction(0)) + Fraction(entry["coeff"])
     return _wrap({w: c for w, c in acc.items() if c})

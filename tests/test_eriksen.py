@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -26,6 +27,7 @@ from fwlab.ncalg import (
     one,
     poly_from_json_obj,
     poly_to_json_obj,
+    scalar,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "devries_jonker_w8.json"
@@ -206,3 +208,75 @@ def test_golden_reference_file():
     obj = json.loads(GOLDEN.read_text())
     assert poly_from_json_obj(obj) == reference_devries_jonker(8)
     assert poly_to_json_obj(reference_devries_jonker(8)) == obj
+
+
+# -- series order ----------------------------------------------------------------
+
+
+def _horner_to_full_order(coeffs, x, weight_max):
+    """Reference: Horner through every coefficient, whatever survives truncation."""
+    acc = scalar(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = mul(acc, x, weight_max) + scalar(c)
+    return acc
+
+
+@pytest.mark.parametrize("w", range(1, 13))
+def test_series_apply_order_is_exact(w):
+    from fwlab.eriksen import _inv_sqrt_coeffs, _series_apply
+
+    p = EriksenPipeline(w)
+    full = _inv_sqrt_coeffs(w)
+    short = full[: w // 2 + 1]
+    for x in (p.k, p.denominator - scalar(4)):
+        if w >= 2:
+            assert min(word.weight for word, _ in x.items()) == 2
+        expect = _horner_to_full_order(full, x, w)
+        assert _series_apply(full, x, w) == expect
+        assert _series_apply(short, x, w) == expect
+
+
+def test_series_apply_rejects_weight_zero_argument():
+    from fwlab.eriksen import _inv_sqrt_coeffs, _series_apply
+
+    with pytest.raises(ValueError):
+        _series_apply(_inv_sqrt_coeffs(4), from_word("BOO", m_power=-2) + scalar(1), 4)
+
+
+# -- weight 12 -------------------------------------------------------------------
+
+# Pinned from the unpruned kernel; the benchmark pins the same value.
+W12_SHA256 = "21427d3984ea13fadee30121e0f319ee0d7d4e24d2de754efe92cfc25613cc9b"
+W12_STAGE_TERMS = (6, 5, 603, 371, 603, 352)
+
+
+@pytest.fixture(scope="module")
+def pipeline12():
+    return EriksenPipeline(12)
+
+
+def test_fw_weight_twelve_even_and_adjoint_symmetric(pipeline12):
+    fw = pipeline12.fw_hamiltonian
+    assert fw.odd_part().is_zero
+    assert fw.adjoint() == fw
+
+
+def test_weight_twelve_residuals_vanish(pipeline12):
+    assert pipeline12.eriksen_condition_residual().is_zero
+    assert pipeline12.unitarity_residual().is_zero
+
+
+def test_fw_weight_twelve_matches_pinned_hash(pipeline12):
+    stages = ("h_squared", "k", "sign_operator", "denominator", "unitary", "fw_hamiltonian")
+    assert tuple(len(getattr(pipeline12, s)) for s in stages) == W12_STAGE_TERMS
+    lines = sorted(
+        f"{w.beta} {w.letters} {w.m_power} {c.numerator}/{c.denominator}"
+        for w, c in pipeline12.fw_hamiltonian.items()
+    )
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == W12_SHA256
+
+
+def test_weight_levels_consistent_with_weight_twelve(pipeline12):
+    fw12 = pipeline12.fw_hamiltonian
+    for w in (8, 10):
+        assert fw_hamiltonian_series(w) == fw12.weight_truncate(w)

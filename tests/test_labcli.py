@@ -57,6 +57,23 @@ def test_eriksen_series_compute_only_allows_higher_weight(capsys):
     assert "compute-only" in out
 
 
+def test_eriksen_series_compute_only_weight_twelve(tmp_path, capsys):
+    code, out, _ = run(
+        ["eriksen-series", "--weight-max", "12", "--compute-only", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert "terms: 352 (compute-only mode)" in out
+    report = json.loads((tmp_path / "eriksen_series.json").read_text())
+    assert report["engine_term_count"] == len(report["series"]) == 352
+
+
+def test_eriksen_series_compute_only_cap_is_twelve(capsys):
+    code, _, err = run(["eriksen-series", "--weight-max", "13", "--compute-only"], capsys)
+    assert code == EXIT_CONFIG
+    assert "between 1 and 12" in err
+
+
 def test_relfw_check_default(tmp_path, capsys):
     code, out, _ = run(["relfw-check", "--out", str(tmp_path)], capsys)
     assert code == EXIT_OK

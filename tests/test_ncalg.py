@@ -2,9 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import ncpolys, raw_symbol_words
+from conftest import coeffs, ncpolys, raw_symbol_words, words
 from fwlab.ncalg import (
     NCPoly,
     Word,
@@ -231,3 +232,58 @@ def test_m_scalar_is_central():
 def test_from_word_rejects_unknown_symbols():
     with pytest.raises(ValueError):
         from_word("BEOX")
+
+
+# -- pruned product against the unpruned double loop ---------------------------------
+
+
+def _naive_mul(a, b, weight_max):
+    """Every pair of terms, in the given order, truncated only at the end."""
+    acc = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            c = ca * cb
+            if wb.beta and wa.o_parity:
+                c = -c
+            word = Word(wa.beta ^ wb.beta, wa.letters + wb.letters, wa.m_power + wb.m_power)
+            acc[word] = acc.get(word, F(0)) + c
+    return NCPoly({w: c for w, c in acc.items() if c}).weight_truncate(weight_max)
+
+
+@st.composite
+def mixed_polys(draw):
+    """At least one beta word, one odd word and two distinct weights."""
+    ws = draw(st.lists(words, min_size=3, max_size=8, unique=True))
+    assume(any(w.beta for w in ws))
+    assume(any(w.o_parity for w in ws))
+    assume(len({w.weight for w in ws}) > 1)
+    return NCPoly({w: draw(coeffs) for w in ws})
+
+
+@given(ncpolys(max_terms=6), mixed_polys())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mul_matches_unpruned_product(a, b):
+    for w in range(0, 11):
+        assert mul(a, b, w) == _naive_mul(a, b, w)
+        assert mul(b, a, w) == _naive_mul(b, a, w)
+
+
+# -- validation at the boundaries ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"beta": 2, "word": "EO", "m_power": 0, "coeff": "1/1"},
+        {"beta": 0, "word": "EXO", "m_power": -1, "coeff": "1/2"},
+    ],
+)
+def test_json_load_rejects_invalid_words(entry):
+    with pytest.raises(ValueError):
+        poly_from_json_obj([entry])
+
+
+@pytest.mark.parametrize("word", [Word(2, "EO", 0), Word(0, "EXO", -1)])
+def test_constructor_rejects_invalid_words(word):
+    with pytest.raises(ValueError):
+        NCPoly({word: 1})
