@@ -34,21 +34,9 @@ from .eriksen import (
     fw_hamiltonian_series,
     reference_devries_jonker,
 )
-from .matfun import (
-    DEFAULT_TOLERANCES,
-    SpectralGapTooSmall,
-    SpectrumNotPositive,
-    IllConditioned,
-    SingularKernel,
-    ClassMismatch,
-    Tolerances,
-    eriksen_transform_numeric,
-    hbar_convergence_study,
-    spectral_norm,
-)
+from .matfun import DEFAULT_TOLERANCES, Tolerances, hbar_convergence_study
 from .models import (
     LatticeDiracSpec,
-    MetricAnomaly,
     Spin1LandauSpec,
     TruncationTooSmall,
     build_lattice_dirac,
@@ -70,16 +58,9 @@ EXIT_CONFIG = 1
 EXIT_TOLERANCE = 2
 EXIT_NUMERICAL = 3
 
-_NUMERICAL_ERRORS = (
-    SpectrumNotPositive,
-    IllConditioned,
-    SpectralGapTooSmall,
-    ClassMismatch,
-    SingularKernel,
-    TruncationTooSmall,
-    MetricAnomaly,
-    ArithmeticError,
-)
+# every numerical failure of matfun and models is an ArithmeticError;
+# TruncationTooSmall is a ValueError and must not read as a config error
+_NUMERICAL_ERRORS = (TruncationTooSmall, ArithmeticError)
 
 
 class ConfigError(ValueError):
@@ -303,29 +284,22 @@ def cmd_numeric_fw(cfg: NumericFwConfig, out_dir: str | None) -> int:
     tols = _tolerances_from_env()
     report = _report_header(cfg)
 
-    transform_rows = []
-    worst_odd = worst_drift = 0.0
-    for hbar in sorted(cfg.hbar_list):
-        parts = build_lattice_dirac(_lattice_spec(cfg, hbar), tols)
-        res = eriksen_transform_numeric(parts.block, tols)
-        h_norm = spectral_norm(parts.block.matrix, tols)
-        rel_odd = res.odd_residual_norm / h_norm
-        transform_rows.append(
-            {
-                "hbar": hbar,
-                "odd_residual_rel": rel_odd,
-                "spectrum_drift": res.spectrum_drift,
-                "spectral_gap": res.spectral_gap,
-            }
-        )
-        worst_odd = max(worst_odd, rel_odd)
-        worst_drift = max(worst_drift, res.spectrum_drift)
     slope_report = hbar_convergence_study(
         lambda hbar: build_lattice_dirac(_lattice_spec(cfg, hbar), tols),
         cfg.hbar_list,
         tols,
     )
-    report["exact_transform"] = transform_rows
+    report["exact_transform"] = [
+        {"hbar": hbar, "odd_residual_rel": odd, "spectrum_drift": drift, "spectral_gap": gap}
+        for hbar, odd, drift, gap in zip(
+            slope_report.hbar,
+            slope_report.odd_residual_rel,
+            slope_report.spectrum_drift,
+            slope_report.spectral_gap,
+        )
+    ]
+    worst_odd = max(slope_report.odd_residual_rel)
+    worst_drift = max(slope_report.spectrum_drift)
     report["convergence"] = slope_report.to_json_obj()
 
     ok = worst_odd <= cfg.odd_residual_cap and worst_drift <= cfg.drift_cap
@@ -400,7 +374,9 @@ def cmd_spin1_spectrum(cfg: Spin1Config, out_dir: str | None) -> int:
             f"  {r.n:>2} {r.lam:+d}  {r.energy:.12f}  {r.analytic_energy:.12f}  {r.residual:.2e}"
         )
     if cfg.scaling_study:
-        scaling = spin1_residual_scaling(spec, cfg.scaling_halvings, cfg.n_levels, tols)
+        scaling = spin1_residual_scaling(
+            spec, cfg.scaling_halvings, cfg.n_levels, tols, base=spectrum
+        )
         report["field_scaling"] = scaling
         ok = ok and scaling["exponent"] >= cfg.min_scaling_exponent
         lines.append(

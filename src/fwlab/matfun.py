@@ -15,11 +15,21 @@ the closed-form relativistic even Hamiltonian
 and the convergence experiment comparing the two as the commutator scale
 (Planck constant of the model family) is swept.
 
-Matrix square roots use an eigendecomposition for normal inputs and a
-scaled Denman-Beavers iteration for non-normal ones (the square of a
-beta-pseudo-Hermitian Hamiltonian need not be Hermitian but has positive
-real spectrum in the regimes modeled here).  Norms are spectral norms
-estimated by power iteration so convergence slopes are scale free.
+Each transform takes one Hermitian eigendecomposition.  A Hermitian H
+is diagonalized by eigh directly.  A beta-pseudo-Hermitian H must have
+beta*H positive definite (the regime where every positive-energy state
+has positive beta norm); then beta*H = L L^dagger by Cholesky, and H is
+similar to the Hermitian L^dagger beta L, whose eigh gives the real
+spectrum and the sign function without forming an inverse.  The same
+eigenvalues give the spectrum before the transform and the spectral gap
+min eig(H^2).  D = 2 + beta*lambda + lambda*beta and the even part of
+H_fw are Hermitian for both classes: D^(-1/2) comes from eigh, and the
+spectrum after the transform from eigvalsh.
+
+The public matrix roots use eigh for Hermitian inputs, an
+eigendecomposition for other normal ones and a scaled Denman-Beavers
+iteration for non-normal ones.  Norms are spectral norms estimated by
+power iteration so convergence slopes are scale free.
 """
 
 from __future__ import annotations
@@ -50,8 +60,6 @@ __all__ = [
     "relfw_hamiltonian_numeric",
     "SlopeReport",
     "hbar_convergence_study",
-    "matrix_to_json_obj",
-    "matrix_from_json_obj",
 ]
 
 
@@ -91,7 +99,6 @@ class Tolerances:
     eriksen_condition: float = 1e-10
     odd_residual: float = 1e-10
     spectrum_drift: float = 1e-9
-    evenness: float = 1e-12
     kernel_singularity: float = 1e-13
     power_iterations: int = 20
     power_tol: float = 1e-6
@@ -292,11 +299,27 @@ class FwNumericResult:
     spectral_gap: float
 
 
-def _sorted_real_spectrum(a: np.ndarray, hermitian: bool) -> np.ndarray:
-    if hermitian:
-        return np.linalg.eigvalsh(a)
-    w = np.linalg.eigvals(a)
-    return np.sort(w.real)
+def _sign_spectrum(block: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
+    """sign(H) and the ascending real spectrum of H from one Hermitian eigenproblem.
+
+    Hermitian H = V w V^dagger gives sign(H) = V sign(w) V^dagger.  For
+    beta-pseudo-Hermitian H the Hermitian beta*H must be positive
+    definite, beta*H = L L^dagger; then H = X w Y with
+    L^dagger beta L = W w W^dagger, X = L^(-dagger) W and
+    Y = (L W)^dagger = X^(-1), so sign(H) = X sign(w) Y.
+    """
+    h = block.matrix
+    if block.herm_class == HERMITIAN:
+        w, v = np.linalg.eigh(h)
+        return (v * np.sign(w)) @ v.conj().T, w
+    try:
+        chol = np.linalg.cholesky(block.beta @ h)
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumNotPositive("beta*H is not positive definite") from exc
+    w, wv = np.linalg.eigh(chol.conj().T @ block.beta @ chol)
+    x = np.linalg.solve(chol.conj().T, wv)
+    y = (chol @ wv).conj().T
+    return (x * np.sign(w)) @ y, w
 
 
 def eriksen_transform_numeric(
@@ -311,12 +334,11 @@ def eriksen_transform_numeric(
     h = block.matrix
     beta = block.beta
     n = block.dim
-    h2 = h @ h
     h_scale = spectral_norm(h, tols) or 1.0
-    gap = float(np.min(np.linalg.eigvals(h2).real))
+    lam, before = _sign_spectrum(block)
+    gap = float(np.min(before**2))
     if gap <= tols.spectral_gap * h_scale**2:
-        raise SpectralGapTooSmall(f"min Re eig(H^2) = {gap:.3e}")
-    lam = h @ matrix_inv_sqrt(h2, tols)
+        raise SpectralGapTooSmall(f"min eig(H^2) = {gap:.3e}")
     eye = np.eye(n)
     d = 2.0 * eye + beta @ lam + lam @ beta
     u = (eye + beta @ lam) @ matrix_inv_sqrt(d, tols)
@@ -330,11 +352,14 @@ def eriksen_transform_numeric(
         if residual > tols.eriksen_condition * max(1.0, h_scale):
             raise ClassMismatch(f"pseudo-unitarity residual {residual:.3e}")
     h_fw = u @ h @ u_inv
-    odd = 0.5 * (h_fw - beta @ h_fw @ beta)
-    odd_norm = spectral_norm(odd, tols)
-    hermitian = block.herm_class == HERMITIAN
-    before = _sorted_real_spectrum(h, hermitian)
-    after = _sorted_real_spectrum(0.5 * (h_fw + beta @ h_fw @ beta), hermitian=False)
+    h_fw_conj = beta @ h_fw @ beta
+    odd_norm = spectral_norm(0.5 * (h_fw - h_fw_conj), tols)
+    # the even part is Hermitian for both classes
+    even = 0.5 * (h_fw + h_fw_conj)
+    herm_residual = np.linalg.norm(even - even.conj().T)
+    if herm_residual > tols.herm_class * h_scale:
+        raise ClassMismatch(f"even part of H_fw: Hermiticity residual {herm_residual:.3e}")
+    after = np.linalg.eigvalsh(even)
     drift = float(np.max(np.abs(before - after))) / h_scale
     return FwNumericResult(u, h_fw, float(odd_norm), drift, gap)
 
@@ -380,6 +405,11 @@ class SlopeReport:
     debroglie_ratio: tuple[float, ...]
     exact_agreement: bool
     non_monotone: bool
+    # diagnostics of the exact transform at each hbar, relative to |H|
+    # where scaled; reported by the caller, not part of the fit's JSON
+    odd_residual_rel: tuple[float, ...]
+    spectrum_drift: tuple[float, ...]
+    spectral_gap: tuple[float, ...]
 
     def to_json_obj(self) -> dict:
         return {
@@ -413,6 +443,9 @@ def hbar_convergence_study(
         raise ValueError("hbar values must span at least a factor of 4")
     diffs: list[float] = []
     ratios: list[float] = []
+    odd_rel: list[float] = []
+    drifts: list[float] = []
+    gaps: list[float] = []
     for hb in hbars:
         parts = model_family(hb)
         fw = eriksen_transform_numeric(parts.block, tols)
@@ -423,6 +456,9 @@ def hbar_convergence_study(
         scale = spectral_norm(parts.block.matrix, tols) or 1.0
         diffs.append(float(spectral_norm(exact_even - closed, tols)) / scale)
         ratios.append(parts.debroglie_ratio if parts.debroglie_ratio is not None else float("nan"))
+        odd_rel.append(fw.odd_residual_norm / scale)
+        drifts.append(fw.spectrum_drift)
+        gaps.append(fw.spectral_gap)
     exact = all(d <= exact_floor for d in diffs)
     non_monotone = any(diffs[i + 1] < diffs[i] for i in range(len(diffs) - 1))
     slope = r_squared = None
@@ -436,23 +472,15 @@ def hbar_convergence_study(
         ss_tot = float(np.sum((y - np.mean(y)) ** 2)) or 1e-300
         r_squared = 1.0 - ss_res / ss_tot
     return SlopeReport(
-        tuple(hbars), tuple(diffs), slope, r_squared, tuple(ratios), exact, non_monotone
+        tuple(hbars),
+        tuple(diffs),
+        slope,
+        r_squared,
+        tuple(ratios),
+        exact,
+        non_monotone,
+        tuple(odd_rel),
+        tuple(drifts),
+        tuple(gaps),
     )
 
-
-# -- serialization ----------------------------------------------------------------
-
-
-def matrix_to_json_obj(a: np.ndarray) -> dict:
-    """Binary-free JSON form: row-major [re, im] pairs."""
-    a = np.asarray(a, dtype=complex)
-    return {
-        "shape": list(a.shape),
-        "data": [[float(x.real), float(x.imag)] for x in a.ravel(order="C")],
-    }
-
-
-def matrix_from_json_obj(obj: dict) -> np.ndarray:
-    shape = tuple(obj["shape"])
-    flat = np.array([complex(re, im) for re, im in obj["data"]], dtype=complex)
-    return flat.reshape(shape, order="C")

@@ -484,11 +484,13 @@ def spin1_numeric_spectrum(
     if evals[0] <= 0:
         raise ArithmeticError("positive-energy block produced a non-positive level")
 
-    u_inv = parts.block.beta @ fw.u @ parts.block.beta
+    beta = parts.block.beta
+    u_inv = beta @ fw.u @ beta
     beta_norm_min = math.inf
     level_rows: list[LevelRow] = []
     inv_root = np.kron(np.eye(3), np.diag(1.0 / np.sqrt(np.diag(kit.pi_sq)[:n_l])))
     s_z = np.kron(SPIN1_SZ, np.eye(n_l))
+    beta_sz = beta @ np.kron(np.eye(2), s_z)
     s_pi = _symmetrized_projection(kit.s_dot_pi, inv_root)
     txb = np.kron(SPIN1_SX, kit.pi_y) - np.kron(SPIN1_SY, kit.pi_x)
     s_pxb = _symmetrized_projection(txb, inv_root)
@@ -501,7 +503,7 @@ def spin1_numeric_spectrum(
         full = np.zeros(2 * d_half, dtype=complex)
         full[:d_half] = vec
         original = u_inv @ full
-        bnorm = float((original.conj() @ (parts.block.beta @ original)).real)
+        bnorm = float((original.conj() @ (beta @ original)).real)
         beta_norm_min = min(beta_norm_min, bnorm)
         if bnorm <= 0:
             raise MetricAnomaly(f"level {idx}: beta norm {bnorm:.3e} <= 0")
@@ -511,16 +513,17 @@ def spin1_numeric_spectrum(
 
         bfrak = spin1_mixing_parameter(spec, n, lam)
         y = 1.0 / math.sqrt(1.0 + bfrak * bfrak)
-        sz_num = float((vec.conj() @ (s_z @ vec)).real)
-        sz2_num = float((vec.conj() @ (s_z @ s_z @ vec)).real)
-        spi_num = float((vec.conj() @ (s_pi @ vec)).real)
-        spxb_num = float((vec.conj() @ (s_pxb @ vec)).real)
-        spi2_num = float((vec.conj() @ (s_pi @ s_pi @ vec)).real)
-        spxb2_num = float((vec.conj() @ (s_pxb @ s_pxb @ vec)).real)
-        sz_full = np.kron(np.eye(2), s_z)
-        sz_beta = float(
-            (original.conj() @ (parts.block.beta @ sz_full @ original)).real / bnorm
-        )
+        # the spin projections are Hermitian, so <v|A A|v> = <Av|Av>
+        sz_vec = s_z @ vec
+        spi_vec = s_pi @ vec
+        spxb_vec = s_pxb @ vec
+        sz_num = float((vec.conj() @ sz_vec).real)
+        sz2_num = float(np.vdot(sz_vec, sz_vec).real)
+        spi_num = float((vec.conj() @ spi_vec).real)
+        spxb_num = float((vec.conj() @ spxb_vec).real)
+        spi2_num = float(np.vdot(spi_vec, spi_vec).real)
+        spxb2_num = float(np.vdot(spxb_vec, spxb_vec).real)
+        sz_beta = float((original.conj() @ (beta_sz @ original)).real / bnorm)
         zero_means_max = max(zero_means_max, abs(spi_num), abs(spxb_num))
         expectations.append(
             {
@@ -566,15 +569,20 @@ def spin1_residual_scaling(
     n_halvings: int = 3,
     n_levels: int = 10,
     tols: Tolerances = DEFAULT_TOLERANCES,
+    base: SpectrumReport | None = None,
 ) -> dict:
     """Halve the field repeatedly and fit the residual exponent in B.
 
     The closed-form levels omit terms of third combined order in the
     field-coupling scale, so the fitted exponent should be about 3.
+    ``base``, the spectrum already computed for ``spec`` with
+    ``n_levels`` levels, stands in for the first field value.
     """
+    if base is not None and (base.spec != spec or len(base.levels) != n_levels):
+        raise ValueError("base spectrum was computed for another spec or level count")
     b_values = [spec.field / (2**j) for j in range(n_halvings + 1)]
-    residuals = []
-    for b in b_values:
+    residuals = [] if base is None else [base.max_relative_residual()]
+    for b in b_values[len(residuals) :]:
         report = spin1_numeric_spectrum(replace(spec, field=b), n_levels, tols)
         residuals.append(report.max_relative_residual())
     x = np.log(np.asarray(b_values))

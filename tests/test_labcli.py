@@ -1,5 +1,7 @@
 import json
+import sys
 
+from fwlab import matfun
 from fwlab.labcli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -159,3 +161,51 @@ def test_spin1_truncation_guard_maps_to_numerical_exit(capsys):
     code, _, err = run(["spin1-spectrum", "--n-max", "8", "--n-levels", "20"], capsys)
     assert code == 3
     assert "TruncationTooSmall" in err
+
+
+def test_spin1_indefinite_beta_h_maps_to_numerical_exit(capsys):
+    # g = 2.5 at B = 0.9: beta*H has a negative eigenvalue, so the
+    # positive-energy states are not all of positive beta norm
+    code, _, err = run(
+        ["spin1-spectrum", "--g", "2.5", "--field", "0.9", "--n-max", "30", "--n-levels", "4"],
+        capsys,
+    )
+    assert code == 3
+    assert "SpectrumNotPositive" in err and "beta*H is not positive definite" in err
+
+
+def _count_transforms(monkeypatch) -> list:
+    calls = []
+    original = matfun.eriksen_transform_numeric
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # rebind every name the function has in any fwlab module
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fwlab") and getattr(module, "eriksen_transform_numeric", None) is original:
+            monkeypatch.setattr(module, "eriksen_transform_numeric", counted)
+    return calls
+
+
+def test_numeric_fw_transforms_each_hbar_once(tmp_path, capsys, monkeypatch):
+    calls = _count_transforms(monkeypatch)
+    code, _, _ = run(["numeric-fw", "--n-sites", "32", "--out", str(tmp_path)], capsys)
+    assert code in (EXIT_OK, EXIT_TOLERANCE)
+    report = json.loads((tmp_path / "numeric_fw.json").read_text())
+    assert len(calls) == len(report["config"]["hbar_list"]) == 4
+    assert [row["hbar"] for row in report["exact_transform"]] == report["convergence"]["hbar"]
+
+
+def test_spin1_scaling_study_transforms_each_field_once(tmp_path, capsys, monkeypatch):
+    calls = _count_transforms(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g_factor": 2.5, "scaling_halvings": 2, "n_max": 30, "n_levels": 4}))
+    code, _, _ = run(
+        ["spin1-spectrum", "--config", str(cfg), "--scaling-study", "--out", str(tmp_path)], capsys
+    )
+    assert code in (EXIT_OK, EXIT_TOLERANCE)
+    report = json.loads((tmp_path / "spin1_spectrum.json").read_text())
+    assert len(calls) == 2 + 1
+    assert report["field_scaling"]["field_values"][0] == report["spectrum"]["spec"]["field"]

@@ -7,6 +7,7 @@ from fwlab.matfun import (
     BETA_PSEUDO_HERMITIAN,
     HERMITIAN,
     BlockOperator,
+    ClassMismatch,
     DEFAULT_TOLERANCES,
     IllConditioned,
     ModelOperators,
@@ -15,11 +16,10 @@ from fwlab.matfun import (
     SpectrumNotPositive,
     Tolerances,
     eriksen_transform_numeric,
+    _sign_spectrum,
     hbar_convergence_study,
-    matrix_from_json_obj,
     matrix_inv_sqrt,
     matrix_sqrt,
-    matrix_to_json_obj,
     relfw_hamiltonian_numeric,
     spectral_norm,
 )
@@ -160,6 +160,45 @@ def test_transform_properties_random_pseudo(rng):
         )
         # the transformed pseudo-Hermitian Hamiltonian is honestly Hermitian
         assert np.linalg.norm(res.h_fw - res.h_fw.conj().T) <= 1e-9 * scale
+
+
+def test_sign_matches_scipy_signm(rng):
+    # one eigendecomposition per class: eigh of H, or of L^dagger beta L
+    # with beta H = L L^dagger; scipy's Schur-based signm is independent
+    for _ in range(100):
+        for make in (random_block_hermitian, random_block_pseudo):
+            blk = make(rng, int(rng.integers(2, 7)))
+            sign, _ = _sign_spectrum(blk)
+            assert np.linalg.norm(sign - scipy.linalg.signm(blk.matrix), 2) <= 1e-12
+
+
+def test_spectrum_and_gap_match_independent_eigensolvers(rng):
+    for _ in range(50):
+        herm = random_block_hermitian(rng, int(rng.integers(2, 7)))
+        pseudo = random_block_pseudo(rng, int(rng.integers(2, 7)))
+        # beta v = mu (beta H) v with beta H positive definite is a
+        # definite pencil, and H v = v / mu
+        mu = scipy.linalg.eigh(pseudo.beta, pseudo.beta @ pseudo.matrix, eigvals_only=True)
+        for blk, w in ((herm, np.linalg.eigvalsh(herm.matrix)), (pseudo, np.sort(1.0 / mu))):
+            assert np.allclose(_sign_spectrum(blk)[1], w, rtol=0, atol=1e-12)
+            gap = eriksen_transform_numeric(blk).spectral_gap
+            assert abs(gap - np.min(w**2)) <= 1e-12 * np.min(w**2)
+
+
+def test_indefinite_beta_h_is_rejected():
+    # beta-pseudo-Hermitian with a real spectrum but beta H indefinite:
+    # outside the regime the sign-function transform is built for
+    beta = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    bh = np.diag([1.5, -0.5, 1.2, 1.0]).astype(complex)
+    blk = BlockOperator(4, beta @ bh, beta, BETA_PSEUDO_HERMITIAN)
+    with pytest.raises(SpectrumNotPositive, match="beta\\*H is not positive definite"):
+        eriksen_transform_numeric(blk)
+
+
+def test_even_part_hermiticity_gate_can_be_tightened_to_failure(rng):
+    blk = random_block_pseudo(rng, 4)
+    with pytest.raises(ClassMismatch, match="even part"):
+        eriksen_transform_numeric(blk, DEFAULT_TOLERANCES.updated(herm_class=0.0))
 
 
 def test_gap_guard():
@@ -324,8 +363,3 @@ def test_tolerances_updated():
     tols = Tolerances().updated(odd_residual=1e-8)
     assert tols.odd_residual == 1e-8
     assert tols.spectrum_drift == DEFAULT_TOLERANCES.spectrum_drift
-
-
-def test_matrix_json_roundtrip(rng):
-    a = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    assert np.allclose(matrix_from_json_obj(matrix_to_json_obj(a)), a)

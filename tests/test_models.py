@@ -22,6 +22,7 @@ from fwlab.models import (
     random_smooth_potential,
     spin1_analytic_spectrum,
     spin1_numeric_spectrum,
+    spin1_residual_scaling,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -43,6 +44,18 @@ def test_free_spectrum_closed_form():
     expect = np.sort(np.concatenate([np.sqrt(1 + ks**2), -np.sqrt(1 + ks**2)]))
     got = np.linalg.eigvalsh(parts.block.matrix)
     assert np.max(np.abs(np.sort(got) - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_sites", [64, 128])
+def test_free_lattice_fw_levels_are_relativistic_dispersion(n_sites):
+    # zero potential: the exact transform's positive-energy block has the
+    # levels sqrt(m^2 + p(k)^2) of the momentum-diagonal 2x2 blocks
+    spec = _lattice(n=n_sites, L=16.0 * math.pi, hbar=1.0)
+    fw = eriksen_transform_numeric(build_lattice_dirac(spec).block)
+    upper = fw.h_fw[:n_sites, :n_sites]
+    levels = np.linalg.eigvalsh(0.5 * (upper + upper.conj().T))
+    exact = np.sort(np.sqrt(spec.mass**2 + lattice_momenta(spec) ** 2))
+    assert np.max(np.abs(levels - exact) / exact) <= 1e-12
 
 
 def test_constant_potential_shifts_spectrum():
@@ -293,6 +306,16 @@ def test_report_serialization():
     csv = report.to_csv_text()
     assert csv.splitlines()[0] == "n,lambda,E_num,E_analytic,residual"
     assert len(csv.splitlines()) == 5
+
+
+def test_scaling_study_reuses_matching_base_spectrum():
+    spec = replace(SPEC_G25, n_max=24)
+    base = spin1_numeric_spectrum(spec, n_levels=4)
+    assert spin1_residual_scaling(spec, 2, 4, base=base) == spin1_residual_scaling(spec, 2, 4)
+    with pytest.raises(ValueError):
+        spin1_residual_scaling(replace(spec, field=spec.field / 2), 2, 4, base=base)
+    with pytest.raises(ValueError):
+        spin1_residual_scaling(spec, 2, 6, base=base)
 
 
 def test_closed_form_matches_exact_transform_for_operator_mass():
