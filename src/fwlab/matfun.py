@@ -26,6 +26,10 @@ min eig(H^2).  D = 2 + beta*lambda + lambda*beta and the even part of
 H_fw are Hermitian for both classes: D^(-1/2) comes from eigh, and the
 spectrum after the transform from eigvalsh.
 
+``BlockOperator.sectors`` splits an operator that is exactly
+block-diagonal in a labelling of its basis into validated sub-operators,
+so a model with a conserved label is transformed one sector at a time.
+
 The public matrix roots use eigh for Hermitian inputs, an
 eigendecomposition for other normal ones and a scaled Denman-Beavers
 iteration for non-normal ones.  Norms are spectral norms estimated by
@@ -122,10 +126,11 @@ def spectral_norm(a: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) -> float
         return 0.0
     v = np.linspace(1.0, 2.0, n)
     v /= np.linalg.norm(v)
+    a_h = a.conj().T
     sigma = 0.0
     for _ in range(tols.power_iterations):
         w = a @ v
-        v_new = a.conj().T @ w
+        v_new = a_h @ w
         norm = np.linalg.norm(v_new)
         if norm == 0.0:
             return 0.0
@@ -267,6 +272,44 @@ class BlockOperator:
             raise ValueError(
                 f"{self.herm_class} residual {residual:.3e} above {self.tols.herm_class:.1e} * |H|"
             )
+
+    def sectors(self, labels: Sequence) -> list[tuple[np.ndarray, "BlockOperator"]]:
+        """Split into the diagonal blocks of a labelling of the basis.
+
+        ``labels`` holds one label per basis index.  Neither ``matrix``
+        nor ``beta`` may have a nonzero entry between two different
+        labels; otherwise ``ClassMismatch`` names the largest such entry.
+        Returns one (indices, sector) pair per label, in sorted label
+        order.  The indices list the entries with beta = +1 on the
+        diagonal first, so a sector's leading block is its beta = +1
+        block.  Each sector is validated as a ``BlockOperator`` of the
+        same class and tolerances.
+        """
+        labels = np.asarray(labels)
+        if labels.shape != (self.dim,):
+            raise ValueError(
+                f"need {self.dim} labels, one per basis index: got shape {labels.shape}"
+            )
+        between = labels[:, None] != labels[None, :]
+        for name, op in (("matrix", self.matrix), ("beta", self.beta)):
+            leak = np.where(between, np.abs(op), 0.0)
+            if leak.any():
+                i, j = np.unravel_index(np.argmax(leak), leak.shape)
+                raise ClassMismatch(
+                    f"{name}[{i}, {j}] = {op[i, j]:.3e} couples label {labels[i].item()!r}"
+                    f" to label {labels[j].item()!r}"
+                )
+        plus_first = -self.beta.diagonal().real  # sort key
+        out = []
+        for label in sorted(set(labels.tolist())):
+            idx = np.flatnonzero(labels == label)
+            idx = idx[np.argsort(plus_first[idx], kind="stable")]
+            sub = np.ix_(idx, idx)
+            sector = BlockOperator(
+                len(idx), self.matrix[sub], self.beta[sub], self.herm_class, self.tols
+            )
+            out.append((idx, sector))
+        return out
 
     def even_part(self) -> np.ndarray:
         return 0.5 * (self.matrix + self.beta @ self.matrix @ self.beta)

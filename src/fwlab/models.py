@@ -19,6 +19,12 @@ pi^2 is diagonal with Landau eigenvalues |e| hbar B (2n+1) and
 [pi_x, pi_y] = i e hbar B holds on the retained block.  H is
 beta-pseudo-Hermitian with beta = rho3 (x) 1.
 
+H is block-diagonal by the degeneracy-group label k = n - lam*sign(e):
+each group holds at most three (n, lam) states times the two rho
+components, so the spectrum is computed sector by sector (at most 6 x 6
+each) after ``BlockOperator.sectors`` has checked that no entry couples
+two groups.
+
 Energy levels are compared against the closed forms
 
     H0(n, lam) = sqrt(m^2 + (2n+1)|e| hbar B - 2 lam e hbar B),
@@ -326,6 +332,16 @@ def _h0_level(spec: Spin1LandauSpec, n: int, lam: int) -> float:
     return math.sqrt(val)
 
 
+def _eps_prime(spec: Spin1LandauSpec, n: int, lam: int, eps_convention: str) -> float:
+    """Energy argument of the mixing and polarizability corrections."""
+    if eps_convention == "level":
+        return _h0_level(spec, n, lam)
+    if eps_convention == "kinetic":
+        e, b, hbar, m = spec.charge, spec.field, spec.hbar, spec.mass
+        return math.sqrt(m * m + (2 * n + 1) * abs(e) * hbar * b)
+    raise ValueError(f"unknown eps convention {eps_convention!r}")
+
+
 def spin1_analytic_spectrum(
     spec: Spin1LandauSpec, n: int, lam: int, eps_convention: str = "level"
 ) -> float:
@@ -343,14 +359,9 @@ def spin1_analytic_spectrum(
     if lam == 0:
         return h0
     e, g, b, hbar, m = spec.charge, spec.g_factor, spec.field, spec.hbar, spec.mass
-    if eps_convention == "level":
-        eps_p = h0
-    elif eps_convention == "kinetic":
-        eps_p = math.sqrt(m * m + (2 * n + 1) * abs(e) * hbar * b)
-    else:
-        raise ValueError(f"unknown eps convention {eps_convention!r}")
+    eps_p = _eps_prime(spec, n, lam, eps_convention)
     w0 = -e * hbar * (g - 2.0) * b / (2.0 * m)
-    bfrak = e * hbar * (g - 1.0) * (eps_p - m) * b / (4.0 * m * m * eps_p)
+    bfrak = spin1_mixing_parameter(spec, n, lam, eps_convention)
     polar = e * e * hbar * hbar * g * (g - 2.0) * b * b / (8.0 * m * m * eps_p)
     return h0 + lam * w0 * math.sqrt(1.0 + bfrak * bfrak) - polar
 
@@ -358,12 +369,9 @@ def spin1_analytic_spectrum(
 def spin1_mixing_parameter(
     spec: Spin1LandauSpec, n: int, lam: int, eps_convention: str = "level"
 ) -> float:
-    """Bfrak for the polarization formulas, same conventions as the levels."""
+    """Bfrak for the levels and the polarization formulas."""
     e, g, b, hbar, m = spec.charge, spec.g_factor, spec.field, spec.hbar, spec.mass
-    if eps_convention == "level":
-        eps_p = _h0_level(spec, n, lam)
-    else:
-        eps_p = math.sqrt(m * m + (2 * n + 1) * abs(e) * hbar * b)
+    eps_p = _eps_prime(spec, n, lam, eps_convention)
     return e * hbar * (g - 1.0) * (eps_p - m) * b / (4.0 * m * m * eps_p)
 
 
@@ -434,6 +442,14 @@ def _symmetrized_projection(op: np.ndarray, inv_root: np.ndarray) -> np.ndarray:
     return 0.5 * (op @ inv_root + inv_root @ op)
 
 
+def _spin1_group_labels(spec: Spin1LandauSpec) -> np.ndarray:
+    """Degeneracy group of every basis index (rho, S_z eigenvalue, Landau n)."""
+    n_l = spec.n_max + 1
+    n = np.tile(np.arange(n_l), 6)
+    lam = np.tile(np.repeat(np.diag(SPIN1_SZ).astype(int), n_l), 2)
+    return degeneracy_group(n, lam, spec.charge)
+
+
 def spin1_numeric_spectrum(
     spec: Spin1LandauSpec,
     n_levels: int = 10,
@@ -441,13 +457,19 @@ def spin1_numeric_spectrum(
 ) -> SpectrumReport:
     """Diagonalize the spin-1 model and match levels to the closed forms.
 
-    The beta-pseudo-Hermitian eigenproblem (equivalently the Hermitian
-    pencil (beta H, beta)) is solved by first applying the exact
-    sign-function block diagonalization, whose positive-energy block is
-    honestly Hermitian, and then a Hermitian eigensolver on that block.
-    Expectation values use the block eigenvectors with the standard
-    inner product; a beta-metric alternative evaluated on the original
-    representation eigenvectors is reported alongside.
+    H is block-diagonal by degeneracy group (at most 2 x 3 basis states
+    each); ``BlockOperator.sectors`` checks that no entry couples two
+    groups.  The beta-pseudo-Hermitian eigenproblem of each sector
+    (equivalently the Hermitian pencil (beta H, beta)) is solved by
+    first applying the exact sign-function block diagonalization, whose
+    positive-energy block is honestly Hermitian, and then a Hermitian
+    eigensolver on that block.  The levels of all sectors are ranked
+    together against the closed forms.  Expectation values use the block
+    eigenvectors, embedded in the full basis, with the standard inner
+    product; a beta-metric alternative evaluated on the original
+    representation eigenvectors is reported alongside.  A level is
+    flagged "degenerate" when another level of its sector lies within
+    1e-10 E: its expectations then depend on the eigenbasis chosen.
     """
     if spec.coupling / spec.mass**2 >= 1.0:
         raise ValueError("weak-coupling sanity |e| hbar B / m^2 < 1 violated")
@@ -471,21 +493,22 @@ def spin1_numeric_spectrum(
             f"level n = {max_n} is within 3 of the cutoff n_max = {spec.n_max}"
         )
 
-    fw = eriksen_transform_numeric(parts.block, tols)
-    upper = fw.h_fw[:d_half, :d_half]
-    herm_err = np.linalg.norm(upper - upper.conj().T) / max(np.linalg.norm(upper), 1e-300)
-    if herm_err > 1e-10:
-        raise ArithmeticError(f"positive-energy block not Hermitian: {herm_err:.3e}")
-    upper = 0.5 * (upper + upper.conj().T)
-    evals, evecs = np.linalg.eigh(upper)
-    order = np.argsort(evals)
-    evals = evals[order]
-    evecs = evecs[:, order]
-    if evals[0] <= 0:
-        raise ArithmeticError("positive-energy block produced a non-positive level")
+    # (indices, beta = +1 count, beta U beta, levels, upper-block eigenvectors)
+    sectors: list[tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]] = []
+    for idx, sector in parts.block.sectors(_spin1_group_labels(spec)):
+        fw = eriksen_transform_numeric(sector, tols)
+        n_plus = int(np.count_nonzero(sector.beta.diagonal().real > 0))
+        upper = fw.h_fw[:n_plus, :n_plus]
+        herm_err = np.linalg.norm(upper - upper.conj().T) / max(np.linalg.norm(upper), 1e-300)
+        if herm_err > 1e-10:
+            raise ArithmeticError(f"positive-energy block not Hermitian: {herm_err:.3e}")
+        evals, evecs = np.linalg.eigh(0.5 * (upper + upper.conj().T))
+        if evals[0] <= 0:
+            raise ArithmeticError("positive-energy block produced a non-positive level")
+        sectors.append((idx, n_plus, sector.beta @ fw.u @ sector.beta, evals, evecs))
+    ranked = sorted((e, s, j) for s, sector in enumerate(sectors) for j, e in enumerate(sector[3]))
 
     beta = parts.block.beta
-    u_inv = beta @ fw.u @ beta
     beta_norm_min = math.inf
     level_rows: list[LevelRow] = []
     inv_root = np.kron(np.eye(3), np.diag(1.0 / np.sqrt(np.diag(kit.pi_sq)[:n_l])))
@@ -497,16 +520,18 @@ def spin1_numeric_spectrum(
     expectations: list[dict] = []
     zero_means_max = 0.0
 
-    for idx, (e_analytic, grp, n, lam) in enumerate(rows):
-        e_num = float(evals[idx])
-        vec = evecs[:, idx]
-        full = np.zeros(2 * d_half, dtype=complex)
-        full[:d_half] = vec
-        original = u_inv @ full
+    for rank, ((e_analytic, grp, n, lam), (e_num, s, j)) in enumerate(zip(rows, ranked)):
+        idx, n_plus, u_inv, evals, evecs = sectors[s]
+        e_num = float(e_num)
+        vec = np.zeros(d_half, dtype=complex)
+        vec[idx[:n_plus]] = evecs[:, j]
+        original = np.zeros(2 * d_half, dtype=complex)
+        original[idx] = u_inv[:, :n_plus] @ evecs[:, j]
+        degenerate = int(np.count_nonzero(np.abs(evals - e_num) <= 1e-10 * e_num)) > 1
         bnorm = float((original.conj() @ (beta @ original)).real)
         beta_norm_min = min(beta_norm_min, bnorm)
         if bnorm <= 0:
-            raise MetricAnomaly(f"level {idx}: beta norm {bnorm:.3e} <= 0")
+            raise MetricAnomaly(f"level {rank}: beta norm {bnorm:.3e} <= 0")
         residual = abs(e_num - e_analytic) / abs(e_analytic)
         e_kin = spin1_analytic_spectrum(spec, n, lam, eps_convention="kinetic")
         level_rows.append(LevelRow(n, lam, grp, e_num, e_analytic, e_kin, residual))
@@ -540,6 +565,7 @@ def spin1_numeric_spectrum(
                 "S_pi^2_formula": (1 - lam * bfrak * y) / 2 if lam else 1.0,
                 "S_pixB^2": spxb2_num,
                 "S_pixB^2_formula": (1 + lam * bfrak * y) / 2 if lam else 1.0,
+                "degenerate": degenerate,
             }
         )
 

@@ -8,6 +8,7 @@ from fwlab.labcli import (
     EXIT_TOLERANCE,
     main,
 )
+from fwlab.models import degeneracy_group
 
 
 def run(argv, capsys):
@@ -175,12 +176,13 @@ def test_spin1_indefinite_beta_h_maps_to_numerical_exit(capsys):
 
 
 def _count_transforms(monkeypatch) -> list:
+    """Rebind the transform so each call records the bytes of its input matrix."""
     calls = []
     original = matfun.eriksen_transform_numeric
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(block, *args, **kwargs):
+        calls.append(block.matrix.tobytes())
+        return original(block, *args, **kwargs)
 
     # rebind every name the function has in any fwlab module
     for name, module in list(sys.modules.items()):
@@ -207,5 +209,9 @@ def test_spin1_scaling_study_transforms_each_field_once(tmp_path, capsys, monkey
     )
     assert code in (EXIT_OK, EXIT_TOLERANCE)
     report = json.loads((tmp_path / "spin1_spectrum.json").read_text())
-    assert len(calls) == 2 + 1
+    # one transform per degeneracy-group sector of each of the 2 + 1 fields
+    n_sectors = len({degeneracy_group(n, lam, 1.0) for n in range(30 + 1) for lam in (1, 0, -1)})
+    assert n_sectors == 30 + 3
+    assert len(calls) == (2 + 1) * n_sectors
+    assert len(set(calls)) == len(calls)
     assert report["field_scaling"]["field_values"][0] == report["spectrum"]["spec"]["field"]

@@ -8,6 +8,8 @@ from fwlab.matfun import eriksen_transform_numeric, relfw_hamiltonian_numeric
 from fwlab.models import (
     LatticeDiracSpec,
     RHO1,
+    SPIN1_SX,
+    SPIN1_SY,
     SPIN1_SZ,
     Spin1LandauSpec,
     TruncationTooSmall,
@@ -21,6 +23,7 @@ from fwlab.models import (
     lattice_momenta,
     random_smooth_potential,
     spin1_analytic_spectrum,
+    spin1_mixing_parameter,
     spin1_numeric_spectrum,
     spin1_residual_scaling,
 )
@@ -252,6 +255,8 @@ def test_analytic_input_validation():
         spin1_analytic_spectrum(SPEC_G2, -1, 1)
     with pytest.raises(ValueError):
         spin1_analytic_spectrum(SPEC_G2, 0, 1, eps_convention="bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        spin1_mixing_parameter(SPEC_G2, 0, 1, eps_convention="bogus")
 
 
 # -- numeric spectrum ------------------------------------------------------------------
@@ -275,6 +280,63 @@ def test_numeric_charge_conjugation_spectrum():
     assert np.allclose(a, b, rtol=1e-12)
     lam_map = {(r.n, r.lam) for r in rp.levels}
     assert {(r.n, -r.lam) for r in rm.levels} == lam_map
+
+
+def _dense_oracle(spec: Spin1LandauSpec, n_levels: int) -> tuple[np.ndarray, list[dict], float]:
+    """Levels, expectations and min beta norm from one transform of the dense model."""
+    parts = build_spin1_landau(spec)
+    fw = eriksen_transform_numeric(parts.block)
+    beta = parts.block.beta
+    d_half = parts.block.dim // 2
+    upper = fw.h_fw[:d_half, :d_half]
+    levels = np.linalg.eigvalsh(upper)[:n_levels]
+    _, vecs = np.linalg.eigh(0.5 * (upper + upper.conj().T))
+    kit = _spin1_kit(spec)
+    n_l = spec.n_max + 1
+    inv_root = np.kron(np.eye(3), np.diag(1.0 / np.sqrt(np.diag(kit.pi_sq)[:n_l])))
+    s_z = np.kron(SPIN1_SZ, np.eye(n_l))
+    s_pi = 0.5 * (kit.s_dot_pi @ inv_root + inv_root @ kit.s_dot_pi)
+    txb = np.kron(SPIN1_SX, kit.pi_y) - np.kron(SPIN1_SY, kit.pi_x)
+    s_pxb = 0.5 * (txb @ inv_root + inv_root @ txb)
+    beta_sz = beta @ np.kron(np.eye(2), s_z)
+    rows, norms = [], []
+    for v in vecs[:, :n_levels].T:
+        original = beta @ fw.u @ beta @ np.concatenate([v, np.zeros(d_half)])
+        norms.append((original.conj() @ beta @ original).real)
+        rows.append(
+            {
+                "S_z": (v.conj() @ s_z @ v).real,
+                "S_z^2": (v.conj() @ s_z @ s_z @ v).real,
+                "S_pi": (v.conj() @ s_pi @ v).real,
+                "S_pixB": (v.conj() @ s_pxb @ v).real,
+                "S_pi^2": (v.conj() @ s_pi @ s_pi @ v).real,
+                "S_pixB^2": (v.conj() @ s_pxb @ s_pxb @ v).real,
+                "S_z_beta_metric": (original.conj() @ beta_sz @ original).real / norms[-1],
+            }
+        )
+    return levels, rows, min(norms)
+
+
+@pytest.mark.parametrize("g_factor", [2.5, 2.0])
+@pytest.mark.parametrize("charge", [1.0, -1.0])
+def test_sector_spectrum_matches_dense_oracle(g_factor, charge):
+    spec = replace(SPEC_G2, g_factor=g_factor, charge=charge)
+    report = spin1_numeric_spectrum(spec, n_levels=10)
+    levels, rows, beta_norm_min = _dense_oracle(spec, 10)
+    got = np.array([row.energy for row in report.levels])
+    assert np.max(np.abs(got - levels) / levels) <= 1e-12
+    if g_factor == 2.0:
+        # a degenerate triplet's expectations depend on the eigenbasis; the
+        # flag marks every level sharing its sector with another level
+        expected = [len(group_members(row.group, charge)) > 1 for row in report.levels]
+        assert [row["degenerate"] for row in report.expectations] == expected
+        assert any(expected)
+        return
+    assert not any(row["degenerate"] for row in report.expectations)
+    assert abs(report.beta_norm_min - beta_norm_min) <= 1e-12
+    for got_row, want_row in zip(report.expectations, rows):
+        for key, want in want_row.items():
+            assert abs(got_row[key] - want) <= 1e-12, key
 
 
 def test_truncation_guard():
