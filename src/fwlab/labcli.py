@@ -303,7 +303,10 @@ def cmd_numeric_fw(cfg: NumericFwConfig, out_dir: str | None) -> int:
     report["convergence"] = slope_report.to_json_obj()
 
     ok = worst_odd <= cfg.odd_residual_cap and worst_drift <= cfg.drift_cap
-    if not slope_report.exact_agreement:
+    if slope_report.slope is None:
+        # no fit: exact everywhere passes, exact at only some hbar fails the gate
+        ok = ok and slope_report.exact_agreement
+    else:
         ok = ok and slope_report.slope >= cfg.min_slope
         ok = ok and slope_report.r_squared >= cfg.min_r_squared
     code = EXIT_OK if ok else EXIT_TOLERANCE
@@ -315,6 +318,12 @@ def cmd_numeric_fw(cfg: NumericFwConfig, out_dir: str | None) -> int:
     ]
     if slope_report.exact_agreement:
         lines.append("  difference at machine floor for every hbar: exact agreement")
+    elif slope_report.slope is None:
+        at_floor = ", ".join(f"{hbar:g}" for hbar in slope_report.floor_hbar)
+        lines.append(
+            f"  no slope fitted (min {cfg.min_slope}):"
+            f" difference at machine floor only for hbar = {at_floor}"
+        )
     else:
         lines.append(
             f"  slope {slope_report.slope:.3f} (min {cfg.min_slope}),"

@@ -15,25 +15,37 @@ the closed-form relativistic even Hamiltonian
 and the convergence experiment comparing the two as the commutator scale
 (Planck constant of the model family) is swept.
 
-Each transform takes one Hermitian eigendecomposition.  A Hermitian H
-is diagonalized by eigh directly.  A beta-pseudo-Hermitian H must have
-beta*H positive definite (the regime where every positive-energy state
-has positive beta norm); then beta*H = L L^dagger by Cholesky, and H is
-similar to the Hermitian L^dagger beta L, whose eigh gives the real
-spectrum and the sign function without forming an inverse.  The same
-eigenvalues give the spectrum before the transform and the spectral gap
-min eig(H^2).  D = 2 + beta*lambda + lambda*beta and the even part of
-H_fw are Hermitian for both classes: D^(-1/2) comes from eigh, and the
-spectrum after the transform from eigvalsh.
+Each transform takes one full-size Hermitian eigendecomposition, for
+sign(H).  A Hermitian H is diagonalized by eigh directly.  A
+beta-pseudo-Hermitian H must have beta*H positive definite (the regime
+where every positive-energy state has positive beta norm); then
+beta*H = L L^dagger by Cholesky, and H is similar to the Hermitian
+L^dagger beta L, whose eigh gives the real spectrum and the sign
+function without forming an inverse.  The same eigenvalues give the
+spectrum before the transform and the spectral gap min eig(H^2).
+
+Everything after sign(H) runs on the two beta blocks.  The transform
+and the closed form require beta = diag(+1, ..., +1, -1, ..., -1), as
+every model builds it and ``BlockOperator.sectors`` returns it, and
+raise ``ClassMismatch`` for any other beta.  An even operator is then
+block-diagonal in the contiguous slices of the +1 and -1 entries, and a
+product with beta is a sign flip of rows or columns.
+D = 2 + beta*lambda + lambda*beta is even and Hermitian for both
+classes: D^(-1/2) is taken on its two diagonal blocks, and the spectrum
+after the transform is the sorted union of eigvalsh of the two blocks of
+the even part of H_fw.  The closed form needs M and E exactly even and O
+exactly odd (``ClassMismatch`` otherwise); eps, the kernel, its
+singularity check and both solves are evaluated block by block.
 
 ``BlockOperator.sectors`` splits an operator that is exactly
 block-diagonal in a labelling of its basis into validated sub-operators,
 so a model with a conserved label is transformed one sector at a time.
 
-The public matrix roots use eigh for Hermitian inputs, an
-eigendecomposition for other normal ones and a scaled Denman-Beavers
+The public matrix roots share one routine: eigh for Hermitian inputs,
+an eigendecomposition for other normal ones and a scaled Denman-Beavers
 iteration for non-normal ones.  Norms are spectral norms estimated by
-power iteration so convergence slopes are scale free.
+power iteration so convergence slopes are scale free; |H| is computed
+once, when a ``BlockOperator`` is validated, and kept as its ``norm``.
 """
 
 from __future__ import annotations
@@ -142,11 +154,6 @@ def spectral_norm(a: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) -> float
     return sigma
 
 
-def _is_hermitian(a: np.ndarray, rel: float = 1e-12) -> bool:
-    scale = np.linalg.norm(a) or 1.0
-    return np.linalg.norm(a - a.conj().T) <= rel * scale
-
-
 def _is_normal(a: np.ndarray, rel: float = 1e-12) -> bool:
     scale = np.linalg.norm(a) ** 2 or 1.0
     return np.linalg.norm(a @ a.conj().T - a.conj().T @ a) <= rel * scale
@@ -191,44 +198,44 @@ def _funm_eig(a: np.ndarray, f, tols: Tolerances) -> np.ndarray:
     return v @ np.diag(f(w)) @ np.linalg.inv(v)
 
 
-def matrix_sqrt(a: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Principal square root; spectrum must avoid the closed left half-plane."""
+def _matrix_root(a: np.ndarray, power: float, tols: Tolerances) -> np.ndarray:
+    """Principal a^power for power = 1/2 or -1/2.
+
+    eigh for Hermitian a, an eigendecomposition for other normal a and a
+    scaled Denman-Beavers iteration otherwise; the residual of the
+    result is gated at ``tols.sqrt_residual``.
+    """
+    inverse = power < 0
     a = np.asarray(a, dtype=complex)
-    if _is_hermitian(a):
+    scale = np.linalg.norm(a) or 1.0
+    if np.linalg.norm(a - a.conj().T) <= 1e-12 * scale:  # Hermitian
         w, v = np.linalg.eigh(a)
         if w[0] <= 0.0:
             raise SpectrumNotPositive(f"smallest eigenvalue {w[0]:.3e} <= 0")
-        r = (v * np.sqrt(w)) @ v.conj().T
+        root = np.sqrt(w)
+        r = (v * (1.0 / root if inverse else root)) @ v.conj().T
     else:
         _check_spectrum(a)
         if _is_normal(a):
-            r = _funm_eig(a, np.sqrt, tols)
+            r = _funm_eig(a, (lambda w: 1.0 / np.sqrt(w)) if inverse else np.sqrt, tols)
         else:
-            r, _ = _denman_beavers(a)
-    scale = np.linalg.norm(a) or 1.0
-    if np.linalg.norm(r @ r - a) > tols.sqrt_residual * scale:
+            r = _denman_beavers(a)[1 if inverse else 0]
+    if inverse:
+        if np.linalg.norm(r @ r @ a - np.eye(a.shape[0])) > tols.sqrt_residual * max(scale, 1.0):
+            raise IllConditioned("inverse-square-root residual above tolerance")
+    elif np.linalg.norm(r @ r - a) > tols.sqrt_residual * scale:
         raise IllConditioned("square-root residual above tolerance")
     return r
 
 
+def matrix_sqrt(a: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Principal square root; spectrum must avoid the closed left half-plane."""
+    return _matrix_root(a, 0.5, tols)
+
+
 def matrix_inv_sqrt(a: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Principal inverse square root via the same routes as matrix_sqrt."""
-    a = np.asarray(a, dtype=complex)
-    if _is_hermitian(a):
-        w, v = np.linalg.eigh(a)
-        if w[0] <= 0.0:
-            raise SpectrumNotPositive(f"smallest eigenvalue {w[0]:.3e} <= 0")
-        r = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    else:
-        _check_spectrum(a)
-        if _is_normal(a):
-            r = _funm_eig(a, lambda w: 1.0 / np.sqrt(w), tols)
-        else:
-            _, r = _denman_beavers(a)
-    scale = np.linalg.norm(a) or 1.0
-    if np.linalg.norm(r @ r @ a - np.eye(a.shape[0])) > tols.sqrt_residual * max(scale, 1.0):
-        raise IllConditioned("inverse-square-root residual above tolerance")
-    return r
+    return _matrix_root(a, -0.5, tols)
 
 
 # -- block operators -------------------------------------------------------------
@@ -241,6 +248,8 @@ class BlockOperator:
     ``herm_class`` is "hermitian" (H = H^dagger) or
     "beta_pseudo_hermitian" (H^dagger = beta H beta, so beta*H is an
     ordinary Hermitian matrix); both are validated at construction.
+    ``norm`` is |H|, the spectral norm of ``matrix`` that validation
+    computes and every relative gate on this operator divides by.
     """
 
     dim: int
@@ -248,6 +257,7 @@ class BlockOperator:
     beta: np.ndarray
     herm_class: str
     tols: Tolerances = field(default_factory=lambda: DEFAULT_TOLERANCES)
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -260,7 +270,8 @@ class BlockOperator:
         if np.max(np.abs(self.beta - self.beta.conj().T)) > 1e-13:
             raise ValueError("beta is not Hermitian")
         h = self.matrix
-        scale = spectral_norm(h, self.tols) or 1.0
+        self.norm = spectral_norm(h, self.tols)
+        scale = self.norm or 1.0
         if self.herm_class == HERMITIAN:
             residual = spectral_norm(h - h.conj().T, self.tols)
         elif self.herm_class == BETA_PSEUDO_HERMITIAN:
@@ -365,6 +376,28 @@ def _sign_spectrum(block: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
     return (x * np.sign(w)) @ y, w
 
 
+def _beta_split(beta: np.ndarray) -> int:
+    """p for beta = diag(+1 (p times), -1 (n - p times)); ClassMismatch otherwise.
+
+    Every even operator is then block-diagonal in the contiguous slices
+    [:p] and [p:], and a product with beta flips the sign of the rows
+    (or columns) from p on.  Zeros and signs are tested exactly.
+    """
+    diag = beta.diagonal()
+    p = int(np.count_nonzero(diag == 1))
+    # n nonzero entries, p of them +1 and the last n - p equal to -1
+    if np.count_nonzero(beta) != len(diag) or not (diag[p:] == -1).all():
+        raise ClassMismatch("the block route needs beta = diag(+1, ..., +1, -1, ..., -1)")
+    return p
+
+
+def _blocks(p: int, n: int) -> list[tuple[slice, slice, float]]:
+    """(block, other block, beta sign) for each nonempty beta block."""
+    upper, lower = slice(0, p), slice(p, n)
+    pairs = ((upper, lower, 1.0), (lower, upper, -1.0))
+    return [(b, c, sign) for b, c, sign in pairs if b.start < b.stop]
+
+
 def eriksen_transform_numeric(
     block: BlockOperator, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> FwNumericResult:
@@ -373,42 +406,61 @@ def eriksen_transform_numeric(
     Positive and negative energy states end up supported on the +1 and
     -1 blocks of beta; spectra are preserved up to solver tolerance, and
     the inverse transform is beta U beta for both Hermiticity classes.
+    beta must be diag(+1, ..., +1, -1, ..., -1) (``ClassMismatch``
+    otherwise): only sign(H) takes a full-size eigendecomposition, and
+    D^(-1/2) and the spectrum after the transform come from the two
+    beta blocks.
     """
     h = block.matrix
-    beta = block.beta
     n = block.dim
-    h_scale = spectral_norm(h, tols) or 1.0
+    p = _beta_split(block.beta)
+    h_scale = block.norm or 1.0
     lam, before = _sign_spectrum(block)
     gap = float(np.min(before**2))
     if gap <= tols.spectral_gap * h_scale**2:
         raise SpectralGapTooSmall(f"min eig(H^2) = {gap:.3e}")
-    eye = np.eye(n)
-    d = 2.0 * eye + beta @ lam + lam @ beta
-    u = (eye + beta @ lam) @ matrix_inv_sqrt(d, tols)
-    u_inv = beta @ u @ beta
+    # a = 1 + beta*lambda, in place; D = 2 + beta*lambda + lambda*beta
+    # vanishes between the beta blocks (s_i + s_j = 0) and is 2 a_bb on them
+    a = lam
+    a[p:] *= -1.0
+    a.flat[:: n + 1] += 1.0
+    blocks = _blocks(p, n)
+    u = np.empty_like(a)
+    for b, _, _ in blocks:
+        u[:, b] = a[:, b] @ matrix_inv_sqrt(2.0 * a[b, b], tols)
+    u_inv = u.copy()  # beta U beta
+    u_inv[:p, p:] *= -1.0
+    u_inv[p:, :p] *= -1.0
+    s = np.ones(n)
+    s[p:] = -1.0
     if block.herm_class == HERMITIAN:
-        residual = spectral_norm(beta @ u - u.conj().T @ beta, tols)
+        residual = spectral_norm(s[:, None] * u - u.conj().T * s, tols)
         if residual > tols.eriksen_condition * max(1.0, h_scale):
             raise ClassMismatch(f"Eriksen condition residual {residual:.3e}")
     else:
-        residual = spectral_norm(u @ beta @ u.conj().T @ beta - eye, tols)
+        residual = spectral_norm((u * s) @ u.conj().T * s - np.eye(n), tols)
         if residual > tols.eriksen_condition * max(1.0, h_scale):
             raise ClassMismatch(f"pseudo-unitarity residual {residual:.3e}")
     h_fw = u @ h @ u_inv
-    h_fw_conj = beta @ h_fw @ beta
-    odd_norm = spectral_norm(0.5 * (h_fw - h_fw_conj), tols)
-    # the even part is Hermitian for both classes
-    even = 0.5 * (h_fw + h_fw_conj)
-    herm_residual = np.linalg.norm(even - even.conj().T)
+    odd = h_fw.copy()
+    odd[:p, :p] = 0.0
+    odd[p:, p:] = 0.0
+    odd_norm = spectral_norm(odd, tols)
+    # the even part, h_fw on the beta blocks, is Hermitian for both classes
+    even = [h_fw[b, b] for b, _, _ in blocks]
+    herm_residual = math.hypot(*[np.linalg.norm(e - e.conj().T) for e in even])
     if herm_residual > tols.herm_class * h_scale:
         raise ClassMismatch(f"even part of H_fw: Hermiticity residual {herm_residual:.3e}")
-    after = np.linalg.eigvalsh(even)
+    after = np.sort(np.concatenate([np.linalg.eigvalsh(e) for e in even]))
     drift = float(np.max(np.abs(before - after))) / h_scale
     return FwNumericResult(u, h_fw, float(odd_norm), drift, gap)
 
 
-def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+def _double_comm_block(o_bc, o_cb, x_bb, x_cc) -> np.ndarray:
+    """Block bb of [O,[O,X]] for odd O and even X (c is the other beta block)."""
+    comm_cb = o_cb @ x_bb - x_cc @ o_cb
+    comm_bc = o_bc @ x_cc - x_bb @ o_bc
+    return o_bc @ comm_cb - comm_bc @ o_cb
 
 
 def relfw_hamiltonian_numeric(
@@ -418,20 +470,47 @@ def relfw_hamiltonian_numeric(
     beta: np.ndarray,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
-    """Closed-form even Hamiltonian, stationary case (field operator = E)."""
+    """Closed-form even Hamiltonian, stationary case (field operator = E).
+
+    beta must be diag(+1, ..., +1, -1, ..., -1), M and E even and O odd,
+    each exactly (``ClassMismatch`` otherwise).  eps, the kernel, its
+    singularity check and both solves are then evaluated on the beta
+    blocks; the result is zero between them.
+    """
     m_op = np.asarray(m_op, dtype=complex)
     e_op = np.asarray(e_op, dtype=complex)
     o_op = np.asarray(o_op, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
-    eps = matrix_sqrt(m_op @ m_op + o_op @ o_op, tols)
-    w = 2.0 * eps @ eps + eps @ m_op + m_op @ eps
-    sv = np.linalg.svd(w, compute_uv=False)
-    if sv[-1] <= tols.kernel_singularity * max(sv[0], 1.0):
-        raise SingularKernel(f"smallest singular value {sv[-1]:.3e}")
-    kernel = beta @ _comm(o_op, _comm(o_op, m_op)) - _comm(o_op, _comm(o_op, e_op))
-    left = np.linalg.solve(w, kernel)
-    right = np.linalg.solve(w.T, kernel.T).T
-    return beta @ eps + e_op + 0.25 * (left + right)
+    n = beta.shape[0]
+    p = _beta_split(beta)
+    for name, op, parity in (("M", m_op, "even"), ("E", e_op, "even"), ("O", o_op, "odd")):
+        wrong = (op[:p, p:], op[p:, :p]) if parity == "even" else (op[:p, :p], op[p:, p:])
+        worst = max((float(np.max(np.abs(x))) for x in wrong if x.size), default=0.0)
+        if worst:
+            raise ClassMismatch(
+                f"{name} is not {parity}: an entry of size {worst:.3e} in the wrong beta block"
+            )
+    blocks = _blocks(p, n)
+    eps, kernels = [], []
+    for b, c, _ in blocks:
+        m_b = m_op[b, b]
+        eps_b = matrix_sqrt(m_b @ m_b + o_op[b, c] @ o_op[c, b], tols)
+        eps.append(eps_b)
+        kernels.append(2.0 * eps_b @ eps_b + eps_b @ m_b + m_b @ eps_b)
+    # the singular values of the block-diagonal kernel are those of its blocks
+    sv = np.concatenate([np.linalg.svd(w, compute_uv=False) for w in kernels])
+    if sv.min() <= tols.kernel_singularity * max(sv.max(), 1.0):
+        raise SingularKernel(f"smallest singular value {sv.min():.3e}")
+    out = np.zeros((n, n), dtype=complex)
+    for (b, c, sign), eps_b, w in zip(blocks, eps, kernels):
+        # (beta [O,[O,M]] - [O,[O,E]])_bb = [O,[O, sign*M - E]]_bb
+        num = _double_comm_block(
+            o_op[b, c], o_op[c, b], sign * m_op[b, b] - e_op[b, b], sign * m_op[c, c] - e_op[c, c]
+        )
+        left = np.linalg.solve(w, num)
+        right = np.linalg.solve(w.T, num.T).T
+        out[b, b] = sign * eps_b + e_op[b, b] + 0.25 * (left + right)
+    return out
 
 
 # -- convergence experiment -------------------------------------------------------
@@ -453,6 +532,9 @@ class SlopeReport:
     odd_residual_rel: tuple[float, ...]
     spectrum_drift: tuple[float, ...]
     spectral_gap: tuple[float, ...]
+    # hbar values whose difference is at or below the exact floor; when
+    # some but not all are, no slope is fitted
+    floor_hbar: tuple[float, ...]
 
     def to_json_obj(self) -> dict:
         return {
@@ -477,7 +559,9 @@ def hbar_convergence_study(
     The commutator scale enters only through the model construction; at
     least 4 values covering a wide range are required so the fitted
     exponent is meaningful.  A non-monotone difference is flagged in the
-    report rather than raised.
+    report rather than raised.  A difference at or below ``exact_floor``
+    has no logarithm to fit: if every one is, the report says exact
+    agreement; if only some are, slope and R^2 are None.
     """
     hbars = sorted(float(h) for h in hbar_list)
     if len(hbars) < 4:
@@ -492,20 +576,25 @@ def hbar_convergence_study(
     for hb in hbars:
         parts = model_family(hb)
         fw = eriksen_transform_numeric(parts.block, tols)
-        exact_even = 0.5 * (fw.h_fw + parts.block.beta @ fw.h_fw @ parts.block.beta)
         closed = relfw_hamiltonian_numeric(
             parts.m_op, parts.e_op, parts.o_op, parts.block.beta, tols
         )
-        scale = spectral_norm(parts.block.matrix, tols) or 1.0
-        diffs.append(float(spectral_norm(exact_even - closed, tols)) / scale)
+        scale = parts.block.norm or 1.0
+        # even part of H_fw minus the closed form, which is zero between the beta blocks
+        p = _beta_split(parts.block.beta)
+        delta = fw.h_fw - closed
+        delta[:p, p:] = 0.0
+        delta[p:, :p] = 0.0
+        diffs.append(float(spectral_norm(delta, tols)) / scale)
         ratios.append(parts.debroglie_ratio if parts.debroglie_ratio is not None else float("nan"))
         odd_rel.append(fw.odd_residual_norm / scale)
         drifts.append(fw.spectrum_drift)
         gaps.append(fw.spectral_gap)
-    exact = all(d <= exact_floor for d in diffs)
+    floor_hbar = tuple(hb for hb, d in zip(hbars, diffs) if d <= exact_floor)
+    exact = len(floor_hbar) == len(hbars)
     non_monotone = any(diffs[i + 1] < diffs[i] for i in range(len(diffs) - 1))
     slope = r_squared = None
-    if not exact:
+    if not floor_hbar:
         x = np.log(np.asarray(hbars))
         y = np.log(np.asarray(diffs))
         coeffs = np.polyfit(x, y, 1)
@@ -525,5 +614,6 @@ def hbar_convergence_study(
         tuple(odd_rel),
         tuple(drifts),
         tuple(gaps),
+        floor_hbar,
     )
 

@@ -469,7 +469,8 @@ def spin1_numeric_spectrum(
     product; a beta-metric alternative evaluated on the original
     representation eigenvectors is reported alongside.  A level is
     flagged "degenerate" when another level of its sector lies within
-    1e-10 E: its expectations then depend on the eigenbasis chosen.
+    1e-10 E: its expectations then depend on the eigenbasis chosen, so
+    ``zero_means_max`` covers only the other levels (0.0 if none).
     """
     if spec.coupling / spec.mass**2 >= 1.0:
         raise ValueError("weak-coupling sanity |e| hbar B / m^2 < 1 violated")
@@ -549,7 +550,8 @@ def spin1_numeric_spectrum(
         spi2_num = float(np.vdot(spi_vec, spi_vec).real)
         spxb2_num = float(np.vdot(spxb_vec, spxb_vec).real)
         sz_beta = float((original.conj() @ (beta_sz @ original)).real / bnorm)
-        zero_means_max = max(zero_means_max, abs(spi_num), abs(spxb_num))
+        if not degenerate:
+            zero_means_max = max(zero_means_max, abs(spi_num), abs(spxb_num))
         expectations.append(
             {
                 "n": n,

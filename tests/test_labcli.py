@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import sys
 
-from fwlab import matfun
+import numpy as np
+
+from fwlab import labcli, matfun
 from fwlab.labcli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -215,3 +218,45 @@ def test_spin1_scaling_study_transforms_each_field_once(tmp_path, capsys, monkey
     assert len(calls) == (2 + 1) * n_sectors
     assert len(set(calls)) == len(calls)
     assert report["field_scaling"]["field_values"][0] == report["spectrum"]["spec"]["field"]
+
+
+def test_numeric_fw_takes_one_full_size_decomposition_per_hbar(tmp_path, capsys, monkeypatch):
+    # only sign(H) needs the whole 2N x 2N matrix; every other function of
+    # an even operator is taken on the two N x N beta blocks
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd", "eig", "eigvals"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(a)[-1]))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    code, _, _ = run(["numeric-fw", "--n-sites", "64", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    assert [call for call in calls if call[1] != 64] == [("eigh", 128)] * 4
+    assert {name for name, _ in calls} == {"eigh", "eigvalsh", "svd"}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_numeric_fw_sweep_exact_at_one_hbar_fails_the_slope_gate(tmp_path, capsys, monkeypatch):
+    original = labcli.build_lattice_dirac
+
+    def free_at_one_hbar(spec, tols):
+        # no potential: the closed form is exact, the difference at the floor
+        if spec.hbar == 0.05:
+            spec = dataclasses.replace(spec, potential=(0.0,) * spec.n_sites)
+        return original(spec, tols)
+
+    monkeypatch.setattr(labcli, "build_lattice_dirac", free_at_one_hbar)
+    code, out, _ = run(["numeric-fw", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_TOLERANCE
+    assert "difference at machine floor only for hbar = 0.05" in out
+    text = (tmp_path / "numeric_fw.json").read_text()
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert report["convergence"]["slope"] is None
+    assert report["convergence"]["r_squared"] is None
+    assert report["convergence"]["exact_agreement"] is False

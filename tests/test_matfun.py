@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -261,6 +263,50 @@ def test_gap_guard():
         eriksen_transform_numeric(BlockOperator(4, h, beta, HERMITIAN))
 
 
+def _full_matrix_reference(blk: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
+    """U and H_fw from the whole 2n x 2n D, with scipy's sign and square root."""
+    lam = scipy.linalg.signm(blk.matrix)
+    beta, eye = blk.beta, np.eye(blk.dim)
+    d = 2.0 * eye + beta @ lam + lam @ beta
+    u = (eye + beta @ lam) @ np.linalg.inv(scipy.linalg.sqrtm(d))
+    return u, u @ blk.matrix @ (beta @ u @ beta)
+
+
+@pytest.mark.parametrize("make", [random_block_hermitian, random_block_pseudo])
+def test_beta_block_transform_matches_full_matrix_reference(rng, make):
+    # D^(-1/2) on the two beta blocks equals D^(-1/2) of the whole D
+    for _ in range(100):
+        blk = make(rng, int(rng.integers(2, 7)))
+        res = eriksen_transform_numeric(blk)
+        u, h_fw = _full_matrix_reference(blk)
+        assert np.linalg.norm(res.u - u, 2) <= 1e-12
+        assert np.linalg.norm(res.h_fw - h_fw, 2) <= 1e-12
+
+
+def _moved_off_block_form(rng, case: str, n: int) -> np.ndarray:
+    """A unitary taking diag(+1, ..., -1, ...) to a beta the block route refuses."""
+    if case == "non-diagonal beta":
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return q
+    half = n // 2
+    # rows interleaved: beta = diag(+1, -1, +1, -1, ...)
+    return np.eye(n)[[i // 2 + (i % 2) * half for i in range(n)]]
+
+
+@pytest.mark.parametrize("case", ["non-diagonal beta", "unsorted beta"])
+def test_transform_rejects_other_beta_forms(rng, case):
+    for make in (random_block_hermitian, random_block_pseudo):
+        blk = make(rng, 3)
+        q = _moved_off_block_form(rng, case, blk.dim)
+        beta = q @ blk.beta @ q.conj().T
+        if case == "unsorted beta":
+            assert list(beta.diagonal().real) == [1.0, -1.0] * 3
+        # a valid operator of the class, only the beta form is wrong
+        moved = BlockOperator(blk.dim, q @ blk.matrix @ q.conj().T, beta, blk.herm_class)
+        with pytest.raises(ClassMismatch, match="beta"):
+            eriksen_transform_numeric(moved)
+
+
 # -- closed-form relativistic Hamiltonian -----------------------------------------------
 
 
@@ -323,6 +369,58 @@ def test_exactness_when_commutators_vanish(rng):
         assert spectral_norm(even - closed) <= 1e-10 * spectral_norm(h)
 
 
+def _parity_exact_operators(rng, half: int):
+    """beta and random M (a genuine operator), E and O, each exactly even or odd."""
+    n = 2 * half
+    beta = np.diag([1.0] * half + [-1.0] * half).astype(complex)
+
+    def part(sign: float, size: float) -> np.ndarray:
+        a = random_hermitian(rng, n)
+        a = 0.5 * (a + sign * beta @ a @ beta)
+        return size * a / np.linalg.norm(a, 2)
+
+    return beta, np.eye(n) + part(1.0, 0.2), part(1.0, 0.3), part(-1.0, 0.4)
+
+
+def test_closed_form_matches_full_matrix_sqrtm(rng):
+    def comm(a, b):
+        return a @ b - b @ a
+
+    for _ in range(100):
+        beta, m_op, e_op, o_op = _parity_exact_operators(rng, int(rng.integers(1, 6)))
+        eps = scipy.linalg.sqrtm(m_op @ m_op + o_op @ o_op)
+        w = 2.0 * eps @ eps + eps @ m_op + m_op @ eps
+        kernel = beta @ comm(o_op, comm(o_op, m_op)) - comm(o_op, comm(o_op, e_op))
+        left = np.linalg.solve(w, kernel)
+        right = np.linalg.solve(w.T, kernel.T).T
+        want = beta @ eps + e_op + 0.25 * (left + right)
+        got = relfw_hamiltonian_numeric(m_op, e_op, o_op, beta)
+        assert np.linalg.norm(got - want, 2) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["non-diagonal beta", "unsorted beta"])
+def test_closed_form_rejects_other_beta_forms(rng, case):
+    beta, m_op, e_op, o_op = _parity_exact_operators(rng, 3)
+    q = _moved_off_block_form(rng, case, 6)
+    moved = [q @ x @ q.conj().T for x in (m_op, e_op, o_op, beta)]
+    with pytest.raises(ClassMismatch, match="beta"):
+        relfw_hamiltonian_numeric(*moved)
+
+
+@pytest.mark.parametrize("name", ["M", "E", "O"])
+def test_closed_form_rejects_an_entry_of_the_wrong_parity(rng, name):
+    beta, m_op, e_op, o_op = _parity_exact_operators(rng, 3)
+    ops = {"M": m_op.copy(), "E": e_op.copy(), "O": o_op.copy()}
+    # one Hermitian pair far below every numeric gate, where the parity
+    # leaves the operator empty: between the beta blocks for M and E,
+    # inside the upper block for O
+    i, j = (0, 4) if name in ("M", "E") else (0, 1)
+    ops[name][i, j] = ops[name][j, i] = 1e-15
+    parity = "odd" if name == "O" else "even"
+    with pytest.raises(ClassMismatch, match=f"{name} is not {parity}"):
+        relfw_hamiltonian_numeric(ops["M"], ops["E"], ops["O"], beta)
+
+
 # -- convergence study ----------------------------------------------------------------
 
 
@@ -361,6 +459,34 @@ def test_study_zero_odd_family_reports_exact_agreement():
     rep = hbar_convergence_study(_no_odd_family, [0.2, 0.1, 0.05, 0.025])
     assert rep.exact_agreement
     assert rep.slope is None
+
+
+def _hopping_family(hbar: float) -> ModelOperators:
+    """As _commuting_family, but O hops between neighbours, so [O, E] != 0."""
+    half = 6
+    n = 2 * half
+    beta = np.diag([1.0] * half + [-1.0] * half).astype(complex)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    grid = np.linspace(-1.0, 1.0, half)
+    hop = np.diag(np.ones(half - 1), 1)
+    m_op = np.eye(n, dtype=complex)
+    e_op = np.kron(np.eye(2), np.diag(0.2 * grid)).astype(complex)
+    o_op = np.kron(sx, hbar * (hop + hop.T)).astype(complex)
+    h = beta + e_op + o_op
+    return ModelOperators(BlockOperator(n, h, beta, HERMITIAN), m_op, e_op, o_op, 0.0)
+
+
+def test_study_exact_at_one_hbar_fits_no_slope():
+    def family(hbar: float) -> ModelOperators:
+        return _commuting_family(hbar) if hbar == 0.05 else _hopping_family(hbar)
+
+    rep = hbar_convergence_study(family, [0.2, 0.1, 0.05, 0.025])
+    assert rep.floor_hbar == (0.05,)
+    assert min(d for hb, d in zip(rep.hbar, rep.diff) if hb != 0.05) > 1e-6
+    assert not rep.exact_agreement
+    assert rep.slope is None and rep.r_squared is None
+    # valid JSON: null where a log of a floor value would have made NaN
+    assert json.loads(json.dumps(rep.to_json_obj(), allow_nan=False))["slope"] is None
 
 
 def test_residual_guard_can_be_tightened_to_failure():

@@ -339,6 +339,52 @@ def test_sector_spectrum_matches_dense_oracle(g_factor, charge):
             assert abs(got_row[key] - want) <= 1e-12, key
 
 
+def _eigh_rotating_degenerate_sets(original, rng):
+    """eigh that returns another eigenbasis inside each set of equal eigenvalues."""
+
+    def eigh(a, *args, **kwargs):
+        w, v = original(a, *args, **kwargs)
+        tol = 1e-10 * max(float(np.max(np.abs(w), initial=0.0)), 1.0)
+        start = 0
+        for stop in range(1, len(w) + 1):
+            if stop == len(w) or w[stop] - w[stop - 1] > tol:
+                k = stop - start
+                if k > 1:
+                    q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+                    v[:, start:stop] = v[:, start:stop] @ q
+                start = stop
+        return w, v
+
+    return eigh
+
+
+def test_zero_means_max_skips_degenerate_levels(rng, monkeypatch):
+    report = spin1_numeric_spectrum(SPEC_G2, n_levels=10)
+    flags = [row["degenerate"] for row in report.expectations]
+    assert any(flags) and not all(flags)
+    assert report.zero_means_max <= 1e-12
+    monkeypatch.setattr(np.linalg, "eigh", _eigh_rotating_degenerate_sets(np.linalg.eigh, rng))
+    rotated = spin1_numeric_spectrum(SPEC_G2, n_levels=10)
+    moved = max(
+        abs(a[key] - b[key])
+        for a, b in zip(report.expectations, rotated.expectations)
+        if a["degenerate"]
+        for key in ("S_pi", "S_pixB")
+    )
+    assert moved > 1e-3  # the degenerate levels really changed eigenbasis
+    assert rotated.zero_means_max <= 1e-12
+    assert abs(rotated.zero_means_max - report.zero_means_max) <= 1e-12
+
+
+@pytest.mark.parametrize("g_factor", [2.5, 3.0])
+def test_zero_means_max_covers_every_level_when_none_is_degenerate(g_factor):
+    report = spin1_numeric_spectrum(replace(SPEC_G2, g_factor=g_factor), n_levels=10)
+    assert not any(row["degenerate"] for row in report.expectations)
+    assert report.zero_means_max == max(
+        max(abs(row["S_pi"]), abs(row["S_pixB"])) for row in report.expectations
+    )
+
+
 def test_truncation_guard():
     with pytest.raises(TruncationTooSmall):
         spin1_numeric_spectrum(replace(SPEC_G2, n_max=8), n_levels=20)
