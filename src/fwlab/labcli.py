@@ -157,9 +157,8 @@ def _tolerances_from_env() -> Tolerances:
     for f in dataclasses.fields(Tolerances):
         env = os.environ.get(f"FWLAB_TOL_{f.name.upper()}")
         if env is not None:
-            caster = int if f.type == "int" else float
             try:
-                overrides[f.name] = caster(env)
+                overrides[f.name] = float(env)
             except ValueError as exc:
                 raise ConfigError(f"bad tolerance override for {f.name}: {env}") from exc
     return tols.updated(**overrides) if overrides else tols

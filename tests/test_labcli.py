@@ -152,10 +152,10 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     # an absurdly tight odd-residual cap cannot be satisfied: exit 2 via
     # the numeric gate would need a model failure, so instead check the
     # env plumbing by loosening and verifying the run still passes
-    monkeypatch.setenv("FWLAB_TOL_POWER_ITERATIONS", "30")
+    monkeypatch.setenv("FWLAB_TOL_ODD_RESIDUAL", "1e-8")
     code, _, _ = run(["spin1-spectrum", "--n-max", "30", "--n-levels", "4"], capsys)
     assert code == EXIT_OK
-    monkeypatch.setenv("FWLAB_TOL_POWER_ITERATIONS", "not-a-number")
+    monkeypatch.setenv("FWLAB_TOL_ODD_RESIDUAL", "not-a-number")
     code, _, err = run(["spin1-spectrum", "--n-max", "30", "--n-levels", "4"], capsys)
     assert code == EXIT_CONFIG
     assert "tolerance override" in err
@@ -235,7 +235,7 @@ def test_numeric_fw_takes_one_full_size_decomposition_per_hbar(tmp_path, capsys,
     code, _, _ = run(["numeric-fw", "--n-sites", "64", "--out", str(tmp_path)], capsys)
     assert code == EXIT_OK
     assert [call for call in calls if call[1] != 64] == [("eigh", 128)] * 4
-    assert {name for name, _ in calls} == {"eigh", "eigvalsh", "svd"}
+    assert {name for name, _ in calls} == {"eigh", "eigvalsh"}
 
 
 def _reject_constant(name):

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import random_block_hermitian, random_block_pseudo, random_hermitian
+from fwlab import matfun
 from fwlab.matfun import (
     BETA_PSEUDO_HERMITIAN,
     HERMITIAN,
@@ -25,6 +27,7 @@ from fwlab.matfun import (
     relfw_hamiltonian_numeric,
     spectral_norm,
 )
+from fwlab.models import LatticeDiracSpec, build_lattice_dirac, random_smooth_potential
 
 
 # -- matrix functions -----------------------------------------------------------
@@ -76,14 +79,18 @@ def test_sqrt_rejects_nonpositive_spectrum():
 
 
 def test_spectral_norm_close_to_exact(rng):
-    # the fixed 20-iteration budget gives a few-percent floor for
-    # near-degenerate top singular values, and never overestimates
-    for _ in range(50):
-        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        exact = np.linalg.norm(a, 2)
-        got = spectral_norm(a)
-        assert got <= exact * (1.0 + 1e-10)
-        assert got >= exact * 0.95
+    # square, tall and wide inputs against numpy's SVD-based 2-norm
+    for shape in ((8, 8), (12, 5), (5, 12), (1, 7), (7, 1)):
+        for _ in range(20):
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            exact = np.linalg.norm(a, 2)
+            assert abs(spectral_norm(a) - exact) <= 1e-12 * exact
+    # a near-degenerate top pair, where an iterative estimate stalls
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    a = (q * np.array([3.0, 3.0 - 1e-9, 1.0, 0.5, 0.2, 0.1, 0.0, 0.0])) @ q.conj().T
+    assert abs(spectral_norm(a) - np.linalg.norm(a, 2)) <= 1e-12 * 3.0
+    for shape in ((4, 3), (0, 0), (0, 3), (3, 0)):
+        assert spectral_norm(np.zeros(shape)) == 0.0
 
 
 # -- block operators ---------------------------------------------------------------
@@ -213,6 +220,40 @@ def test_transform_properties_random_pseudo(rng):
         )
         # the transformed pseudo-Hermitian Hamiltonian is honestly Hermitian
         assert np.linalg.norm(res.h_fw - res.h_fw.conj().T) <= 1e-9 * scale
+
+
+def test_block_operator_norm_is_exact(rng, monkeypatch):
+    # read first: spectral_norm of the matrix; left to the Hermitian
+    # transform: max |eigenvalue| of its own eigh, with no full-size norm
+    shapes = []
+    original = matfun.spectral_norm
+
+    def recorded(a):
+        shapes.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(matfun, "spectral_norm", recorded)
+    for _ in range(100):
+        for make in (random_block_hermitian, random_block_pseudo):
+            read_first = make(rng, int(rng.integers(2, 7)))
+            n = read_first.dim
+            exact = np.linalg.norm(read_first.matrix, 2)
+            assert abs(read_first.norm - exact) <= 1e-12 * exact
+            filled = BlockOperator(n, read_first.matrix, read_first.beta, read_first.herm_class)
+            shapes.clear()
+            eriksen_transform_numeric(filled)
+            assert abs(filled.norm - exact) <= 1e-12 * exact
+            assert shapes.count((n, n)) == (1 if make is random_block_pseudo else 0)
+
+
+def test_odd_residual_is_exact_norm_of_odd_part(rng):
+    for _ in range(100):
+        for make in (random_block_hermitian, random_block_pseudo):
+            blk = make(rng, int(rng.integers(2, 7)))
+            res = eriksen_transform_numeric(blk)
+            odd = 0.5 * (res.h_fw - blk.beta @ res.h_fw @ blk.beta)
+            exact = np.linalg.norm(odd, 2)
+            assert abs(res.odd_residual_norm - exact) <= 1e-12 * exact
 
 
 def test_sign_matches_scipy_signm(rng):
@@ -474,6 +515,51 @@ def _hopping_family(hbar: float) -> ModelOperators:
     o_op = np.kron(sx, hbar * (hop + hop.T)).astype(complex)
     h = beta + e_op + o_op
     return ModelOperators(BlockOperator(n, h, beta, HERMITIAN), m_op, e_op, o_op, 0.0)
+
+
+def _small_lattice_family(hbar: float) -> ModelOperators:
+    pot = random_smooth_potential(24, 0.4, 3)
+    return build_lattice_dirac(LatticeDiracSpec(24, 6.0 * math.pi, 1.0, hbar, pot))
+
+
+def test_study_diff_is_exact_norm_of_even_difference():
+    hbars = [0.2, 0.1, 0.05, 0.025]
+    for family in (_hopping_family, _small_lattice_family):
+        rep = hbar_convergence_study(family, hbars)
+        for hb, diff in zip(rep.hbar, rep.diff):
+            parts = family(hb)
+            beta, h = parts.block.beta, parts.block.matrix
+            h_fw = eriksen_transform_numeric(parts.block).h_fw
+            closed = relfw_hamiltonian_numeric(parts.m_op, parts.e_op, parts.o_op, beta)
+            even = 0.5 * (h_fw + beta @ h_fw @ beta)
+            exact = np.linalg.norm(even - closed, 2) / np.linalg.norm(h, 2)
+            assert abs(diff - exact) <= 1e-12 * exact
+
+
+def test_study_diffs_stable_under_round_off_in_h_fw(monkeypatch):
+    # a kick of spectral norm 1e-15 |H_fw| stands in for a round-off
+    # change in the transform; the reported differences (about 5e-7 and
+    # up at N = 256) may move by no more than that, relative 1e-9
+    pot = random_smooth_potential(256, 0.4, 0)
+
+    def family(hbar: float) -> ModelOperators:
+        return build_lattice_dirac(LatticeDiracSpec(256, 16.0 * math.pi, 1.0, hbar, pot))
+
+    hbars = [0.2, 0.1, 0.05, 0.025]
+    base = hbar_convergence_study(family, hbars)
+    noise = np.random.default_rng(5)
+    original = matfun.eriksen_transform_numeric
+
+    def kicked(block, tols=DEFAULT_TOLERANCES):
+        res = original(block, tols)
+        kick = noise.normal(size=res.h_fw.shape)
+        res.h_fw = res.h_fw + 1e-15 * np.linalg.norm(res.h_fw, 2) / np.linalg.norm(kick, 2) * kick
+        return res
+
+    monkeypatch.setattr(matfun, "eriksen_transform_numeric", kicked)
+    moved = hbar_convergence_study(family, hbars)
+    for before, after in zip(base.diff, moved.diff):
+        assert abs(after - before) <= 1e-9 * before
 
 
 def test_study_exact_at_one_hbar_fits_no_slope():
