@@ -34,7 +34,6 @@ from .ncalg import (
     commutator,
     e_atom,
     from_word,
-    identity_part,
     mul,
     o_atom,
     one,
@@ -45,8 +44,6 @@ __all__ = [
     "NonEvenDenominator",
     "ResidualOddPart",
     "EriksenPipeline",
-    "sign_operator",
-    "eriksen_unitary",
     "fw_hamiltonian_series",
     "ReferenceTerm",
     "A24_COEFFICIENTS",
@@ -166,14 +163,6 @@ class EriksenPipeline:
         """U * (beta U beta) - 1; zero to the truncation weight."""
         u = self.unitary
         return mul(u, u.beta_conjugate(), self.weight_max) - one()
-
-
-def sign_operator(weight_max: int = DEFAULT_WEIGHT_MAX) -> NCPoly:
-    return EriksenPipeline(weight_max).sign_operator
-
-
-def eriksen_unitary(weight_max: int = DEFAULT_WEIGHT_MAX) -> NCPoly:
-    return EriksenPipeline(weight_max).unitary
 
 
 def fw_hamiltonian_series(weight_max: int = DEFAULT_WEIGHT_MAX) -> NCPoly:
@@ -365,7 +354,3 @@ def compare_series(a: NCPoly, b: NCPoly, weight_max: int | None = None) -> DiffR
             entries.append(DiffEntry(w, ca, cb))
     return DiffReport(weight_max, len(words), tuple(entries))
 
-
-def symbolic_trace_part(p: NCPoly) -> NCPoly:
-    """Letter-free sub-polynomial; conserved by the transformation."""
-    return identity_part(p)

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "RatSeries",
     "ZeroConstantTerm",
-    "CompositionOrderViolation",
     "NonSquareConstantTerm",
     "series",
     "constant",
@@ -26,17 +25,11 @@ __all__ = [
     "sqrt_series",
     "inv_sqrt_series",
     "inverse",
-    "compose",
-    "arctan_series",
 ]
 
 
 class ZeroConstantTerm(ZeroDivisionError):
-    """Inverse or inverse square root of a series with c0 = 0."""
-
-
-class CompositionOrderViolation(ValueError):
-    """compose(f, g) requires g(0) = 0 for the truncation to be exact."""
+    """Inverse, square root or inverse square root of a series with c0 = 0."""
 
 
 class NonSquareConstantTerm(ValueError):
@@ -79,13 +72,6 @@ class RatSeries:
         n = self._align(other)
         return RatSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
 
-    def __sub__(self, other: "RatSeries") -> "RatSeries":
-        n = self._align(other)
-        return RatSeries(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
-
-    def __neg__(self) -> "RatSeries":
-        return RatSeries(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, RatSeries):
             n = self._align(other)
@@ -104,17 +90,6 @@ class RatSeries:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "RatSeries":
-        if self.order_max == 0:
-            return RatSeries((Fraction(0),))
-        return RatSeries(tuple(k * self.coeffs[k] for k in range(1, self.order_max + 1)))
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatSeries):
             return NotImplemented
@@ -122,10 +97,6 @@ class RatSeries:
 
     def to_json_obj(self) -> list[str]:
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-    @staticmethod
-    def from_json_obj(obj: Sequence[str]) -> "RatSeries":
-        return RatSeries(tuple(Fraction(s) for s in obj))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(str(c) for c in self.coeffs)
@@ -201,27 +172,5 @@ def inverse(s: RatSeries) -> RatSeries:
 
 def inv_sqrt_series(s: RatSeries) -> RatSeries:
     """Series b with b*b*s = 1 to the truncation order."""
-    if not s.coeffs[0]:
-        raise ZeroConstantTerm("inverse square root of a series with zero constant term")
     return inverse(sqrt_series(s))
 
-
-def compose(f: RatSeries, g: RatSeries) -> RatSeries:
-    """f(g(u)) to the common truncation order; requires g(0) = 0."""
-    if g.coeffs[0]:
-        raise CompositionOrderViolation("inner series must have zero constant term")
-    n = min(f.order_max, g.order_max)
-    gn = RatSeries(g.coeffs[: n + 1])
-    acc = constant(f.coeffs[min(n, f.order_max)], n)
-    for k in range(min(n, f.order_max) - 1, -1, -1):
-        acc = acc * gn + constant(f.coeffs[k], n)
-    return acc
-
-
-def arctan_series(order: int) -> RatSeries:
-    out = [Fraction(0)] * (order + 1)
-    k = 0
-    while 2 * k + 1 <= order:
-        out[2 * k + 1] = Fraction((-1) ** k, 2 * k + 1)
-        k += 1
-    return RatSeries(tuple(out))

@@ -6,8 +6,8 @@ Subcommands
     numeric-fw       exact-transform checks and the hbar convergence study
     spin1-spectrum   spin-1 Landau levels, polarization, field scaling
 
-Exit codes: 0 pass, 1 config error, 2 tolerance failure, 3 numerical
-breakdown.  Reports are deterministic: identical config and seed produce
+Exit codes: 0 pass, 1 config or usage error, 2 tolerance failure, 3
+numerical breakdown.  Reports are deterministic: identical configs produce
 byte-identical JSON (no timestamps; the effective config hash and tool
 versions are embedded instead).  Tolerance knobs, and only those, can be
 overridden through FWLAB_TOL_<FIELD> environment variables.
@@ -75,14 +75,12 @@ class EriksenSeriesConfig:
     weight_max: int = 8
     compare: bool = True
     perturb_a24: bool = False
-    seed: int = 0
 
 
 @dataclass
 class RelfwCheckConfig:
     f_order: int = 4
     g_order: int = 2
-    seed: int = 0
 
 
 @dataclass
@@ -98,7 +96,7 @@ class NumericFwConfig:
     min_r_squared: float = 0.98
     odd_residual_cap: float = 1e-10
     drift_cap: float = 1e-9
-    seed: int = 0
+    seed: int = 0  # picks the random-smooth potential
 
 
 @dataclass
@@ -116,7 +114,6 @@ class Spin1Config:
     min_scaling_exponent: float = 2.7
     expectation_cap: float = 1e-6
     zero_mean_cap: float = 1e-8
-    seed: int = 0
 
 
 def _config_from_sources(cls, file_values: dict, cli_values: dict):
@@ -407,7 +404,6 @@ def cmd_spin1_spectrum(cfg: Spin1Config, out_dir: str | None) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file", default=None)
     sub.add_argument("--out", help="directory for report files", default=None)
-    sub.add_argument("--seed", type=int, default=None, help="seed for randomized inputs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,6 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="hbar sweep values",
     )
     p.add_argument("--min-slope", type=float, default=None, dest="min_slope")
+    p.add_argument("--seed", type=int, default=None, help="seed of the random-smooth potential")
 
     p = subs.add_parser("spin1-spectrum", help="spin-1 Landau spectrum")
     _add_common(p)
@@ -493,8 +490,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     command = args.command
     cli_values = {
         k: v

@@ -37,17 +37,10 @@ __all__ = [
     "e_atom",
     "o_atom",
     "beta_atom",
-    "m_scalar",
     "from_word",
-    "normalize",
     "mul",
     "commutator",
     "anticommutator",
-    "even_odd_split",
-    "truncate",
-    "adjoint",
-    "beta_conjugate",
-    "identity_part",
     "poly_to_json_obj",
     "poly_from_json_obj",
 ]
@@ -133,9 +126,6 @@ class NCPoly:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def max_weight(self) -> int:
-        return max((w.weight for w in self._terms), default=0)
 
     def words(self) -> list[Word]:
         return sorted(self._terms, key=Word.sort_key)
@@ -279,10 +269,6 @@ def beta_atom() -> NCPoly:
     return _wrap({Word(1, "", 0): Fraction(1)})
 
 
-def m_scalar(power: int = 1) -> NCPoly:
-    return _wrap({Word(0, "", power): Fraction(1)})
-
-
 def from_word(symbols: str, m_power: int = 0, coeff: Fraction | int = 1) -> NCPoly:
     """Build a single-word polynomial from a raw symbol string.
 
@@ -313,19 +299,6 @@ def from_word(symbols: str, m_power: int = 0, coeff: Fraction | int = 1) -> NCPo
 
 
 # -- module-level operations ------------------------------------------------
-
-
-def normalize(p: NCPoly) -> NCPoly:
-    """Re-canonicalize a polynomial.
-
-    Polynomials are constructed in normal form, so this re-merges terms
-    and drops zeros; it is the identity on already-normal input and is
-    idempotent by construction.
-    """
-    acc: dict[Word, Fraction] = {}
-    for w, c in p.items():
-        acc[w] = acc.get(w, Fraction(0)) + c
-    return _wrap({w: c for w, c in acc.items() if c})
 
 
 def mul(a: NCPoly, b: NCPoly, weight_max: int) -> NCPoly:
@@ -366,32 +339,6 @@ def commutator(a: NCPoly, b: NCPoly, weight_max: int) -> NCPoly:
 
 def anticommutator(a: NCPoly, b: NCPoly, weight_max: int) -> NCPoly:
     return mul(a, b, weight_max) + mul(b, a, weight_max)
-
-
-def even_odd_split(p: NCPoly) -> tuple[NCPoly, NCPoly]:
-    """Split into the parts commuting and anticommuting with beta.
-
-    Equivalent to ((p + beta p beta)/2, (p - beta p beta)/2); words with
-    an even number of O letters commute with beta, the rest anticommute.
-    """
-    return p.even_part(), p.odd_part()
-
-
-def truncate(p: NCPoly, weight_max: int) -> NCPoly:
-    return p.weight_truncate(weight_max)
-
-
-def adjoint(p: NCPoly) -> NCPoly:
-    return p.adjoint()
-
-
-def beta_conjugate(p: NCPoly) -> NCPoly:
-    return p.beta_conjugate()
-
-
-def identity_part(p: NCPoly) -> NCPoly:
-    """Sub-polynomial of letter-free words (scalars and beta times scalars)."""
-    return _wrap({w: c for w, c in p.items() if not w.letters})
 
 
 # -- serialization -----------------------------------------------------------

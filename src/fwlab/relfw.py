@@ -34,7 +34,6 @@ from fractions import Fraction
 from . import fseries
 from .fseries import RatSeries
 from .eriksen import ReferenceTerm, reference_terms
-from .ncalg import NCPoly
 
 __all__ = [
     "UnclassifiableTerm",
@@ -212,24 +211,17 @@ def grade_audit(expr) -> int:
 
 @dataclass(frozen=True)
 class GradedEvenForm:
-    """beta*m*f(t) + E + (1/m^2){g(t), [O,[O,E]]} (+ optional mass kernel).
-
-    ``m_kernel`` carries an h(t) series for a (1/m^2){h(t), beta*[O,[O,M]]}
-    term when the mass is a genuine operator; it is None for the flat
-    mass, where that double commutator vanishes identically.
-    """
+    """beta*m*f(t) + E + (1/m^2){g(t), [O,[O,E]]}, the flat-mass even form."""
 
     f: RatSeries
     e_term: bool
     g: RatSeries
-    m_kernel: RatSeries | None = None
 
     def to_json_obj(self) -> dict:
         return {
             "f": self.f.to_json_obj(),
             "e_term": self.e_term,
             "g": self.g.to_json_obj(),
-            "m_kernel": None if self.m_kernel is None else self.m_kernel.to_json_obj(),
         }
 
 
@@ -280,12 +272,6 @@ class ReferenceClassification:
     grade_one: tuple[ReferenceTerm, ...]
     grade_two_plus: tuple[ReferenceTerm, ...]
 
-    def expansion(self) -> NCPoly:
-        acc = NCPoly()
-        for term in self.backbone + self.grade_one + self.grade_two_plus:
-            acc = acc + term.poly
-        return acc
-
 
 def classify_reference(weight_max: int = 8) -> ReferenceClassification:
     backbone = []
@@ -333,7 +319,6 @@ def eriksen_grade_filter(weight_max: int = 8) -> GradedEvenForm:
         f=RatSeries(tuple(f_coeffs)),
         e_term=e_term,
         g=RatSeries(tuple(g_coeffs)),
-        m_kernel=None,
     )
 
 
@@ -351,7 +336,7 @@ def relativistic_even_form(order_max: int = 8) -> GradedEvenForm:
     root = fseries.sqrt_series(fseries.one_plus_u(order_max))
     denom = fseries.constant(1, order_max) + fseries.variable(order_max) + root
     g = fseries.inverse(denom) * Fraction(-1, 8)
-    return GradedEvenForm(f=root, e_term=True, g=g, m_kernel=None)
+    return GradedEvenForm(f=root, e_term=True, g=g)
 
 
 # -- comparison ---------------------------------------------------------------

@@ -37,7 +37,7 @@ from fwlab.models import (
     spin1_numeric_spectrum,
     spin1_residual_scaling,
 )
-from fwlab.ncalg import NCPoly, Word, even_odd_split, mul, truncate
+from fwlab.ncalg import NCPoly, Word, mul
 from fwlab.relfw import compare_even_forms, eriksen_grade_filter, relativistic_even_form
 
 N_INSTANCES = 200
@@ -188,14 +188,14 @@ def test_criterion_8_property_suites(rng):
     sym = random.Random(97)
     for _ in range(N_INSTANCES):
         a, b = _random_poly(sym), _random_poly(sym)
-        a_even, a_odd = even_odd_split(a)
-        b_even, b_odd = even_odd_split(b)
+        a_even, a_odd = a.even_part(), a.odd_part()
+        b_even, b_odd = b.even_part(), b.odd_part()
         if not mul(a_odd, b_odd, 8).odd_part().is_zero:
             failures.append("parity closure: odd*odd not even")
         if not mul(a_odd, b_even, 8).even_part().is_zero:
             failures.append("parity closure: odd*even not odd")
         full = mul(a, b, 64)
-        if any(mul(a, b, w) != truncate(full, w) for w in (0, 2, 4)):
+        if any(mul(a, b, w) != full.weight_truncate(w) for w in (0, 2, 4)):
             failures.append("truncation coherence")
 
     for w in range(1, 9):

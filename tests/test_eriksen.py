@@ -9,12 +9,9 @@ from fwlab.eriksen import (
     A24_COEFFICIENTS,
     EriksenPipeline,
     compare_series,
-    eriksen_unitary,
     fw_hamiltonian_series,
     reference_devries_jonker,
     reference_terms,
-    sign_operator,
-    symbolic_trace_part,
 )
 from fwlab.ncalg import (
     anticommutator,
@@ -47,7 +44,7 @@ def test_h_squared_structure():
 
 
 def test_sign_operator_weight_one():
-    assert sign_operator(1) == from_word("B") + from_word("O", m_power=-1)
+    assert EriksenPipeline(1).sign_operator == from_word("B") + from_word("O", m_power=-1)
 
 
 def test_sign_operator_weight_two():
@@ -56,12 +53,12 @@ def test_sign_operator_weight_two():
         + from_word("O", m_power=-1)
         + from_word("BOO", m_power=-2, coeff=F(-1, 2))
     )
-    assert sign_operator(2) == expect
+    assert EriksenPipeline(2).sign_operator == expect
 
 
 def test_sign_operator_squares_to_one():
     for w in (2, 4, 6):
-        lam = sign_operator(w)
+        lam = EriksenPipeline(w).sign_operator
         assert mul(lam, lam, w) == one()
 
 
@@ -69,7 +66,7 @@ def test_unitary_weight_two_matches_exponential():
     # independent oracle: exp(beta O / 2m) truncated at weight 2
     x = from_word("BO", m_power=-1, coeff=F(1, 2))
     oracle = one() + x + mul(x, x, 2) * F(1, 2)
-    assert eriksen_unitary(2) == oracle
+    assert EriksenPipeline(2).unitary == oracle
 
 
 def test_eriksen_condition_and_unitarity():
@@ -181,7 +178,8 @@ def test_fw_is_adjoint_symmetric():
 def test_trace_part_preserved():
     for w in range(1, 9):
         p = EriksenPipeline(w)
-        assert symbolic_trace_part(p.fw_hamiltonian) == symbolic_trace_part(p.h)
+        # the letter-free words are the weight-0 part
+        assert p.fw_hamiltonian.weight_truncate(0) == p.h.weight_truncate(0)
 
 
 def test_h_commutes_with_inv_sqrt_series():
@@ -201,7 +199,7 @@ def test_independent_weight_levels_consistent():
 
 def test_reference_terms_weights_within_budget():
     for term in reference_terms(8):
-        assert term.poly.max_weight() <= 8
+        assert all(word.weight <= 8 for word, _ in term.poly.items())
 
 
 def test_golden_reference_file():

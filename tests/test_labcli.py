@@ -7,6 +7,7 @@ import numpy as np
 from fwlab import labcli, matfun
 from fwlab.labcli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_TOLERANCE,
     main,
@@ -148,17 +149,44 @@ def test_spin1_spectrum_bad_field_is_config_error(capsys):
     assert code == EXIT_CONFIG
 
 
-def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
-    # an absurdly tight odd-residual cap cannot be satisfied: exit 2 via
-    # the numeric gate would need a model failure, so instead check the
-    # env plumbing by loosening and verifying the run still passes
-    monkeypatch.setenv("FWLAB_TOL_ODD_RESIDUAL", "1e-8")
-    code, _, _ = run(["spin1-spectrum", "--n-max", "30", "--n-levels", "4"], capsys)
-    assert code == EXIT_OK
-    monkeypatch.setenv("FWLAB_TOL_ODD_RESIDUAL", "not-a-number")
-    code, _, err = run(["spin1-spectrum", "--n-max", "30", "--n-levels", "4"], capsys)
+def test_tolerance_env_override(capsys, monkeypatch):
+    # a spectral-gap tolerance far above any gap must reach the transform's gate
+    argv = ["spin1-spectrum", "--n-max", "30", "--n-levels", "4"]
+    monkeypatch.setenv("FWLAB_TOL_SPECTRAL_GAP", "1e6")
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_NUMERICAL
+    assert "SpectralGapTooSmall" in err
+    monkeypatch.setenv("FWLAB_TOL_SPECTRAL_GAP", "not-a-number")
+    code, _, err = run(argv, capsys)
     assert code == EXIT_CONFIG
     assert "tolerance override" in err
+
+
+def test_usage_errors_are_config_errors(capsys):
+    # argparse's own exit code, 2, would read as a tolerance failure
+    for argv in (
+        ["numeric-fw", "--n-sites", "abc"],
+        ["spin1-spectrum", "--bogus", "1"],
+        ["spin1-spectrum", "--seed", "3"],  # only numeric-fw has a random input
+    ):
+        code, _, err = run(argv, capsys)
+        assert code == EXIT_CONFIG
+        assert "usage:" in err and "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run(["numeric-fw", "--help"], capsys)
+    assert code == EXIT_OK
+    assert "--seed" in out
+
+
+def test_seed_is_numeric_fw_config_only(tmp_path, capsys):
+    argv = ["numeric-fw", "--n-sites", "32", "--potential-type", "random-smooth", "--seed", "5"]
+    code, _, _ = run(argv + ["--out", str(tmp_path)], capsys)
+    assert code in (EXIT_OK, EXIT_TOLERANCE)
+    assert json.loads((tmp_path / "numeric_fw.json").read_text())["config"]["seed"] == 5
+    for config in (labcli.EriksenSeriesConfig, labcli.RelfwCheckConfig, labcli.Spin1Config):
+        assert "seed" not in {f.name for f in dataclasses.fields(config)}
 
 
 def test_spin1_truncation_guard_maps_to_numerical_exit(capsys):

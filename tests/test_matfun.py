@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,13 +63,20 @@ def test_sqrt_matches_scipy_oracle(rng):
         assert np.allclose(matrix_sqrt(a), scipy.linalg.sqrtm(a), atol=1e-9)
 
 
-def test_sqrt_non_normal_denman_beavers():
-    a = np.array([[1.0, 0.7, 0.0], [0.0, 2.0, 0.4], [0.0, 0.0, 3.0]])
-    r = matrix_sqrt(a)
-    assert np.linalg.norm(r @ r - a) <= 1e-10 * np.linalg.norm(a)
-    s = matrix_inv_sqrt(a)
-    assert np.linalg.norm(s @ s @ a - np.eye(3)) <= 1e-9
-    assert np.allclose(r, scipy.linalg.sqrtm(a), atol=1e-9)
+def test_roots_reject_non_hermitian():
+    # non-normal, with a positive spectrum: a root exists, but not by eigh
+    for a in (
+        np.array([[1.0, 0.7, 0.0], [0.0, 2.0, 0.4], [0.0, 0.0, 3.0]]),
+        np.array([[1.0, 0.7], [0.0, 2.0]]),
+    ):
+        residual = f"|a - a^dagger|_F = {np.linalg.norm(a - a.T):.3e}"
+        for root in (matrix_sqrt, matrix_inv_sqrt):
+            with pytest.raises(ClassMismatch, match=re.escape(residual)):
+                root(a)
+    # a skew part below 1e-12 * |a|_F is round-off and passes the gate
+    a = np.diag([1.0, 2.0]).astype(complex)
+    a[0, 1] = 1e-14j
+    assert np.allclose(matrix_sqrt(a), np.diag([1.0, math.sqrt(2.0)]))
 
 
 def test_sqrt_rejects_nonpositive_spectrum():
@@ -161,14 +169,6 @@ def test_sectors_need_one_label_per_index(rng):
     for bad in (labels[:-1], np.append(labels, "a"), labels.reshape(1, -1)):
         with pytest.raises(ValueError, match="one per basis index"):
             dense.sectors(bad)
-
-
-def test_even_odd_parts():
-    beta = np.diag([1.0, -1.0])
-    h = np.array([[1.0, 2.0], [2.0, -3.0]])
-    blk = BlockOperator(2, h, beta, HERMITIAN)
-    assert np.allclose(blk.even_part(), np.diag([1.0, -3.0]))
-    assert np.allclose(blk.odd_part(), [[0.0, 2.0], [2.0, 0.0]])
 
 
 # -- exact transform ------------------------------------------------------------------
@@ -576,9 +576,12 @@ def test_study_exact_at_one_hbar_fits_no_slope():
 
 
 def test_residual_guard_can_be_tightened_to_failure():
-    a = np.array([[1.0, 0.7], [0.0, 2.0]])  # non-normal, positive spectrum
-    with pytest.raises(IllConditioned):
-        matrix_sqrt(a, DEFAULT_TOLERANCES.updated(sqrt_residual=1e-30))
+    a = np.array([[2.0, 0.5], [0.5, 3.0]])  # Hermitian positive definite
+    tight = DEFAULT_TOLERANCES.updated(sqrt_residual=1e-30)
+    for root in (matrix_sqrt, matrix_inv_sqrt):
+        root(a)
+        with pytest.raises(IllConditioned):
+            root(a, tight)
 
 
 def test_closed_form_second_order_for_operator_mass(rng):
@@ -623,6 +626,6 @@ def test_study_requires_enough_points():
 
 
 def test_tolerances_updated():
-    tols = Tolerances().updated(odd_residual=1e-8)
-    assert tols.odd_residual == 1e-8
-    assert tols.spectrum_drift == DEFAULT_TOLERANCES.spectrum_drift
+    tols = Tolerances().updated(sqrt_residual=1e-8)
+    assert tols.sqrt_residual == 1e-8
+    assert tols.spectral_gap == DEFAULT_TOLERANCES.spectral_gap

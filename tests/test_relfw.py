@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fwlab.eriksen import compare_series, reference_devries_jonker
 from fwlab.fseries import RatSeries, series
+from fwlab.ncalg import NCPoly
 from fwlab.relfw import (
     ATOM_BETA,
     ATOM_E,
@@ -60,7 +61,6 @@ def test_filter_kernel_series():
     filt = eriksen_grade_filter(8)
     assert filt.g == series([F(-1, 16), F(3, 64), F(-5, 128)])
     assert filt.e_term
-    assert filt.m_kernel is None
 
 
 def test_filter_drops_all_grade_two():
@@ -72,7 +72,8 @@ def test_filter_drops_all_grade_two():
 
 def test_classification_partitions_reference():
     cls = classify_reference(8)
-    assert compare_series(cls.expansion().weight_truncate(8), reference_devries_jonker(8)).is_empty
+    expansion = sum((t.poly for t in cls.backbone + cls.grade_one + cls.grade_two_plus), NCPoly())
+    assert compare_series(expansion.weight_truncate(8), reference_devries_jonker(8)).is_empty
 
 
 def test_filter_orders_scale_with_weight():
