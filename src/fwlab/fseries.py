@@ -58,11 +58,6 @@ class RatSeries:
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k]
 
-    def truncated(self, order: int) -> "RatSeries":
-        if order > self.order_max:
-            raise ValueError(f"order {order} exceeds available order {self.order_max}")
-        return RatSeries(self.coeffs[: order + 1])
-
     # Arithmetic keeps the lower of the two orders: coefficients beyond a
     # series' own order are unknown, not zero.
     def _align(self, other: "RatSeries") -> int:

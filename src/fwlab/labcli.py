@@ -45,7 +45,6 @@ from .models import (
     spin1_numeric_spectrum,
     spin1_residual_scaling,
 )
-from .ncalg import Word
 from .relfw import (
     bch_audit,
     compare_even_forms,
@@ -188,13 +187,6 @@ def _emit(out_dir: str | None, name: str, report: dict, table: str) -> None:
     sys.stdout.write(table)
 
 
-def _word_label(word: Word) -> str:
-    bits = (["b"] if word.beta else []) + list(word.letters)
-    if word.m_power:
-        bits.append(f"m^{word.m_power}")
-    return " ".join(bits) if bits else "1"
-
-
 # -- subcommands -------------------------------------------------------------------
 
 
@@ -218,7 +210,7 @@ def cmd_eriksen_series(cfg: EriksenSeriesConfig, out_dir: str | None) -> int:
         table_lines.append(f"  differing words: {len(diff.entries)}")
         for e in diff.entries:
             table_lines.append(
-                f"    {_word_label(e.word)}: engine {e.left} vs reference {e.right}"
+                f"    {e.word}: engine {e.left} vs reference {e.right}"
             )
         if not diff.is_empty:
             code = EXIT_TOLERANCE

@@ -24,12 +24,14 @@ L^dagger beta L, whose eigh gives the real spectrum and the sign
 function without forming an inverse.  The same eigenvalues give the
 spectrum before the transform and the spectral gap min eig(H^2).
 
-Everything after sign(H) runs on the two beta blocks.  The transform
-and the closed form require beta = diag(+1, ..., +1, -1, ..., -1), as
-every model builds it and ``BlockOperator.sectors`` returns it, and
-raise ``ClassMismatch`` for any other beta.  An even operator is then
-block-diagonal in the contiguous slices of the +1 and -1 entries, and a
-product with beta is a sign flip of rows or columns.
+Everything after sign(H) runs on the two beta blocks.  beta must be
+diag(+1, ..., +1, -1, ..., -1), as every model builds it and
+``BlockOperator.sectors`` returns it.  This form is checked once, exactly,
+when a ``BlockOperator`` is built (``ClassMismatch`` for any other beta),
+and the block keeps the count p of +1 entries; the closed form, which
+takes a dense beta, checks it there.  An even operator is then
+block-diagonal in the contiguous slices [:p] and [p:], and a product
+with beta is a sign flip of rows or columns.
 D = 2 + beta*lambda + lambda*beta is even and Hermitian for both
 classes: D^(-1/2) is taken on its two diagonal blocks, and the spectrum
 after the transform is the sorted union of eigvalsh of the two blocks of
@@ -82,6 +84,7 @@ __all__ = [
     "eriksen_transform_numeric",
     "relfw_hamiltonian_numeric",
     "SlopeReport",
+    "loglog_fit",
     "hbar_convergence_study",
 ]
 
@@ -99,7 +102,13 @@ class SpectralGapTooSmall(ArithmeticError):
 
 
 class ClassMismatch(ArithmeticError):
-    """Computed transform violates its Hermiticity-class identity."""
+    """A Hermiticity-class identity fails, or beta is not in block form.
+
+    Raised for a computed transform that violates its class identity, a
+    non-Hermitian root argument, an operator of the wrong beta parity, an
+    entry between two sector labels, and a beta other than
+    diag(+1, ..., +1, -1, ..., -1).
+    """
 
 
 class SingularKernel(ArithmeticError):
@@ -112,9 +121,8 @@ BETA_PSEUDO_HERMITIAN = "beta_pseudo_hermitian"
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Default numeric gates; every field is overridable via config."""
+    """Default numeric gates; the CLI overrides a field through FWLAB_TOL_<FIELD>."""
 
-    beta_involution: float = 1e-14
     herm_class: float = 1e-12
     sqrt_residual: float = 1e-10
     spectral_gap: float = 1e-10
@@ -184,34 +192,33 @@ def matrix_inv_sqrt(a: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES) -> np.
 class BlockOperator:
     """Dense operator paired with its block-parity involution.
 
-    ``herm_class`` is "hermitian" (H = H^dagger) or
-    "beta_pseudo_hermitian" (H^dagger = beta H beta, so beta*H is an
-    ordinary Hermitian matrix); both are validated at construction, the
-    Frobenius norm of the class residual against the largest column
-    norm of ``matrix``, a lower bound of |H|.
+    beta must be diag(+1 (p times), -1 (n - p times)), tested exactly
+    (``ClassMismatch`` otherwise); ``p`` is kept, so every later product
+    with beta is a sign flip from row or column p on.  ``herm_class`` is
+    "hermitian" (H = H^dagger) or "beta_pseudo_hermitian"
+    (H^dagger = beta H beta, so beta*H is an ordinary Hermitian matrix),
+    validated by the Frobenius norm of the class residual against the
+    largest column norm of ``matrix``, a lower bound of |H|.
     """
 
-    dim: int
     matrix: np.ndarray
     beta: np.ndarray
     herm_class: str
     tols: Tolerances = field(default_factory=lambda: DEFAULT_TOLERANCES)
+    p: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=complex)
         self.beta = np.asarray(self.beta, dtype=complex)
-        if self.matrix.shape != (self.dim, self.dim) or self.beta.shape != (self.dim, self.dim):
-            raise ValueError("matrix and beta must be dim x dim")
-        eye = np.eye(self.dim)
-        if np.max(np.abs(self.beta @ self.beta - eye)) > max(self.tols.beta_involution, 1e-13):
-            raise ValueError("beta is not an involution")
-        if np.max(np.abs(self.beta - self.beta.conj().T)) > 1e-13:
-            raise ValueError("beta is not Hermitian")
+        shape = self.matrix.shape
+        if len(shape) != 2 or shape[0] != shape[1] or self.beta.shape != shape:
+            raise ValueError("matrix and beta must be square and of one size")
+        self.p = _beta_split(self.beta)
         h = self.matrix
         if self.herm_class == HERMITIAN:
             residual = np.linalg.norm(h - h.conj().T)
         elif self.herm_class == BETA_PSEUDO_HERMITIAN:
-            bh = self.beta @ h
+            bh = _flip_rows(h, self.p)
             residual = np.linalg.norm(bh - bh.conj().T)
         else:
             raise ValueError(f"unknown herm_class {self.herm_class!r}")
@@ -221,6 +228,10 @@ class BlockOperator:
                 f"{self.herm_class} residual {residual:.3e} above"
                 f" {self.tols.herm_class:.1e} * largest column norm {column:.3e}"
             )
+
+    @property
+    def dim(self) -> int:
+        return len(self.matrix)
 
     @cached_property
     def norm(self) -> float:
@@ -233,39 +244,33 @@ class BlockOperator:
     def sectors(self, labels: Sequence) -> list[tuple[np.ndarray, "BlockOperator"]]:
         """Split into the diagonal blocks of a labelling of the basis.
 
-        ``labels`` holds one label per basis index.  Neither ``matrix``
-        nor ``beta`` may have a nonzero entry between two different
-        labels; otherwise ``ClassMismatch`` names the largest such entry.
-        Returns one (indices, sector) pair per label, in sorted label
-        order.  The indices list the entries with beta = +1 on the
-        diagonal first, so a sector's leading block is its beta = +1
-        block.  Each sector is validated as a ``BlockOperator`` of the
-        same class and tolerances.
+        ``labels`` holds one label per basis index.  ``matrix`` may not
+        have a nonzero entry between two different labels; otherwise
+        ``ClassMismatch`` names the largest such entry (beta is diagonal,
+        so it has none).  Returns one (indices, sector) pair per label, in
+        sorted label order.  The indices ascend, and beta lists its +1
+        entries first, so a sector's leading block is its beta = +1 block.
+        Each sector is validated as a ``BlockOperator`` of the same class
+        and tolerances.
         """
         labels = np.asarray(labels)
         if labels.shape != (self.dim,):
             raise ValueError(
                 f"need {self.dim} labels, one per basis index: got shape {labels.shape}"
             )
-        between = labels[:, None] != labels[None, :]
-        for name, op in (("matrix", self.matrix), ("beta", self.beta)):
-            leak = np.where(between, np.abs(op), 0.0)
-            if leak.any():
-                i, j = np.unravel_index(np.argmax(leak), leak.shape)
-                raise ClassMismatch(
-                    f"{name}[{i}, {j}] = {op[i, j]:.3e} couples label {labels[i].item()!r}"
-                    f" to label {labels[j].item()!r}"
-                )
-        plus_first = -self.beta.diagonal().real  # sort key
+        h = self.matrix
+        leak = np.where(labels[:, None] != labels[None, :], np.abs(h), 0.0)
+        if leak.any():
+            i, j = np.unravel_index(np.argmax(leak), leak.shape)
+            raise ClassMismatch(
+                f"matrix[{i}, {j}] = {h[i, j]:.3e} couples label {labels[i].item()!r}"
+                f" to label {labels[j].item()!r}"
+            )
         out = []
         for label in sorted(set(labels.tolist())):
             idx = np.flatnonzero(labels == label)
-            idx = idx[np.argsort(plus_first[idx], kind="stable")]
             sub = np.ix_(idx, idx)
-            sector = BlockOperator(
-                len(idx), self.matrix[sub], self.beta[sub], self.herm_class, self.tols
-            )
-            out.append((idx, sector))
+            out.append((idx, BlockOperator(h[sub], self.beta[sub], self.herm_class, self.tols)))
         return out
 
 
@@ -307,10 +312,10 @@ def _sign_spectrum(block: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(h)
         return (v * np.sign(w)) @ v.conj().T, w
     try:
-        chol = np.linalg.cholesky(block.beta @ h)
+        chol = np.linalg.cholesky(_flip_rows(h, block.p))
     except np.linalg.LinAlgError as exc:
         raise SpectrumNotPositive("beta*H is not positive definite") from exc
-    w, wv = np.linalg.eigh(chol.conj().T @ block.beta @ chol)
+    w, wv = np.linalg.eigh(_flip_rows(chol, block.p).conj().T @ chol)
     x = np.linalg.solve(chol.conj().T, wv)
     y = (chol @ wv).conj().T
     return (x * np.sign(w)) @ y, w
@@ -331,6 +336,13 @@ def _beta_split(beta: np.ndarray) -> int:
     return p
 
 
+def _flip_rows(a: np.ndarray, p: int) -> np.ndarray:
+    """beta @ a for beta = diag(+1 (p times), -1, ...): a copy of a with rows p: negated."""
+    out = a.copy()
+    out[p:] *= -1.0
+    return out
+
+
 def _blocks(p: int, n: int) -> list[tuple[slice, slice, float]]:
     """(block, other block, beta sign) for each nonempty beta block."""
     upper, lower = slice(0, p), slice(p, n)
@@ -346,14 +358,11 @@ def eriksen_transform_numeric(
     Positive and negative energy states end up supported on the +1 and
     -1 blocks of beta; spectra are preserved up to solver tolerance, and
     the inverse transform is beta U beta for both Hermiticity classes.
-    beta must be diag(+1, ..., +1, -1, ..., -1) (``ClassMismatch``
-    otherwise): only sign(H) takes a full-size eigendecomposition, and
-    D^(-1/2) and the spectrum after the transform come from the two
-    beta blocks.
+    Only sign(H) takes a full-size eigendecomposition; D^(-1/2) and the
+    spectrum after the transform come from the two beta blocks.
     """
     h = block.matrix
-    n = block.dim
-    p = _beta_split(block.beta)
+    n, p = block.dim, block.p
     lam, before = _sign_spectrum(block)
     if block.herm_class == HERMITIAN:  # |H| = max |eigenvalue|, unless already read
         vars(block).setdefault("norm", float(np.max(np.abs(before))))
@@ -492,6 +501,15 @@ class SlopeReport:
         }
 
 
+def loglog_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
+    """Slope and R^2 of the least-squares line through (log x, log y)."""
+    lx, ly = np.log(np.asarray(x)), np.log(np.asarray(y))
+    coeffs = np.polyfit(lx, ly, 1)
+    ss_res = float(np.sum((ly - np.polyval(coeffs, lx)) ** 2))
+    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2)) or 1e-300
+    return float(coeffs[0]), 1.0 - ss_res / ss_tot
+
+
 def hbar_convergence_study(
     model_family: Callable[[float], ModelOperators],
     hbar_list: Sequence[float],
@@ -525,7 +543,7 @@ def hbar_convergence_study(
         )
         scale = parts.block.norm or 1.0
         # even part of H_fw minus the closed form, which is zero between the beta blocks
-        blocks = _blocks(_beta_split(parts.block.beta), parts.block.dim)
+        blocks = _blocks(parts.block.p, parts.block.dim)
         diffs.append(max(spectral_norm(fw.h_fw[b, b] - closed[b, b]) for b, _, _ in blocks) / scale)
         ratios.append(parts.debroglie_ratio if parts.debroglie_ratio is not None else float("nan"))
         odd_rel.append(fw.odd_residual_norm / scale)
@@ -534,16 +552,7 @@ def hbar_convergence_study(
     floor_hbar = tuple(hb for hb, d in zip(hbars, diffs) if d <= exact_floor)
     exact = len(floor_hbar) == len(hbars)
     non_monotone = any(diffs[i + 1] < diffs[i] for i in range(len(diffs) - 1))
-    slope = r_squared = None
-    if not floor_hbar:
-        x = np.log(np.asarray(hbars))
-        y = np.log(np.asarray(diffs))
-        coeffs = np.polyfit(x, y, 1)
-        slope = float(coeffs[0])
-        fit = np.polyval(coeffs, x)
-        ss_res = float(np.sum((y - fit) ** 2))
-        ss_tot = float(np.sum((y - np.mean(y)) ** 2)) or 1e-300
-        r_squared = 1.0 - ss_res / ss_tot
+    slope, r_squared = (None, None) if floor_hbar else loglog_fit(hbars, diffs)
     return SlopeReport(
         tuple(hbars),
         tuple(diffs),

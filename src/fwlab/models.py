@@ -60,6 +60,7 @@ from .matfun import (
     ModelOperators,
     Tolerances,
     eriksen_transform_numeric,
+    loglog_fit,
 )
 
 __all__ = [
@@ -178,7 +179,7 @@ def build_lattice_dirac(
     e_op = np.kron(eye2, v)
     o_op = np.kron(sigma1, p)
     h = spec.mass * beta + e_op + o_op
-    block = BlockOperator(2 * n, h, beta, HERMITIAN, tols)
+    block = BlockOperator(h, beta, HERMITIAN, tols)
     # applicability diagnostic: de Broglie length at the largest
     # represented momentum over the potential's characteristic length
     k_abs = np.abs(2.0 * math.pi * np.fft.fftfreq(n, d=dx))
@@ -281,7 +282,6 @@ def build_spin1_landau(
 ) -> ModelOperators:
     kit = _spin1_kit(spec)
     n_l = spec.n_max + 1
-    dim = 6 * n_l
     eye2 = np.eye(2)
     h = (
         np.kron(RHO3, kit.mass_op)
@@ -297,13 +297,11 @@ def build_spin1_landau(
     err = np.max(np.abs(proj @ (comm - target) @ proj))
     if err > 1e-12 * spec.coupling:
         raise AssertionError(f"ladder convention broke [pi_x, pi_y]: error {err:.3e}")
-    block = BlockOperator(dim, h, beta, BETA_PSEUDO_HERMITIAN, tols)
+    block = BlockOperator(h, beta, BETA_PSEUDO_HERMITIAN, tols)
     m_op = np.kron(eye2, kit.mass_op)
     e_op = np.kron(RHO3, kit.field_op)
     o_op = np.kron(I_RHO2, kit.odd_op)
-    # guard-band diagnostic: action scale eps^2/(|e| B) against hbar
-    ratio = spec.hbar * abs(spec.charge) * spec.field / spec.mass**2
-    return ModelOperators(block, m_op, e_op, o_op, debroglie_ratio=ratio)
+    return ModelOperators(block, m_op, e_op, o_op)
 
 
 # -- closed-form levels ---------------------------------------------------------------
@@ -494,11 +492,11 @@ def spin1_numeric_spectrum(
             f"level n = {max_n} is within 3 of the cutoff n_max = {spec.n_max}"
         )
 
-    # (indices, beta = +1 count, beta U beta, levels, upper-block eigenvectors)
+    # (indices, beta = +1 count, (beta U beta)[:, :n_plus], levels, upper-block eigenvectors)
     sectors: list[tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]] = []
     for idx, sector in parts.block.sectors(_spin1_group_labels(spec)):
         fw = eriksen_transform_numeric(sector, tols)
-        n_plus = int(np.count_nonzero(sector.beta.diagonal().real > 0))
+        n_plus = sector.p
         upper = fw.h_fw[:n_plus, :n_plus]
         herm_err = np.linalg.norm(upper - upper.conj().T) / max(np.linalg.norm(upper), 1e-300)
         if herm_err > 1e-10:
@@ -506,15 +504,19 @@ def spin1_numeric_spectrum(
         evals, evecs = np.linalg.eigh(0.5 * (upper + upper.conj().T))
         if evals[0] <= 0:
             raise ArithmeticError("positive-energy block produced a non-positive level")
-        sectors.append((idx, n_plus, sector.beta @ fw.u @ sector.beta, evals, evecs))
+        # beta U beta on the beta = +1 columns: U's columns with rows n_plus: negated
+        u_inv_up = fw.u[:, :n_plus].copy()
+        u_inv_up[n_plus:] *= -1.0
+        sectors.append((idx, n_plus, u_inv_up, evals, evecs))
     ranked = sorted((e, s, j) for s, sector in enumerate(sectors) for j, e in enumerate(sector[3]))
 
-    beta = parts.block.beta
+    # beta and beta S_z are diagonal: applied as elementwise products
+    beta = parts.block.beta.diagonal().real
     beta_norm_min = math.inf
     level_rows: list[LevelRow] = []
     inv_root = np.kron(np.eye(3), np.diag(1.0 / np.sqrt(np.diag(kit.pi_sq)[:n_l])))
     s_z = np.kron(SPIN1_SZ, np.eye(n_l))
-    beta_sz = beta @ np.kron(np.eye(2), s_z)
+    beta_sz = beta * np.tile(s_z.diagonal(), 2)
     s_pi = _symmetrized_projection(kit.s_dot_pi, inv_root)
     txb = np.kron(SPIN1_SX, kit.pi_y) - np.kron(SPIN1_SY, kit.pi_x)
     s_pxb = _symmetrized_projection(txb, inv_root)
@@ -522,14 +524,14 @@ def spin1_numeric_spectrum(
     zero_means_max = 0.0
 
     for rank, ((e_analytic, grp, n, lam), (e_num, s, j)) in enumerate(zip(rows, ranked)):
-        idx, n_plus, u_inv, evals, evecs = sectors[s]
+        idx, n_plus, u_inv_up, evals, evecs = sectors[s]
         e_num = float(e_num)
         vec = np.zeros(d_half, dtype=complex)
         vec[idx[:n_plus]] = evecs[:, j]
         original = np.zeros(2 * d_half, dtype=complex)
-        original[idx] = u_inv[:, :n_plus] @ evecs[:, j]
+        original[idx] = u_inv_up @ evecs[:, j]
         degenerate = int(np.count_nonzero(np.abs(evals - e_num) <= 1e-10 * e_num)) > 1
-        bnorm = float((original.conj() @ (beta @ original)).real)
+        bnorm = float((original.conj() @ (beta * original)).real)
         beta_norm_min = min(beta_norm_min, bnorm)
         if bnorm <= 0:
             raise MetricAnomaly(f"level {rank}: beta norm {bnorm:.3e} <= 0")
@@ -549,7 +551,7 @@ def spin1_numeric_spectrum(
         spxb_num = float((vec.conj() @ spxb_vec).real)
         spi2_num = float(np.vdot(spi_vec, spi_vec).real)
         spxb2_num = float(np.vdot(spxb_vec, spxb_vec).real)
-        sz_beta = float((original.conj() @ (beta_sz @ original)).real / bnorm)
+        sz_beta = float((original.conj() @ (beta_sz * original)).real / bnorm)
         if not degenerate:
             zero_means_max = max(zero_means_max, abs(spi_num), abs(spxb_num))
         expectations.append(
@@ -613,15 +615,10 @@ def spin1_residual_scaling(
     for b in b_values[len(residuals) :]:
         report = spin1_numeric_spectrum(replace(spec, field=b), n_levels, tols)
         residuals.append(report.max_relative_residual())
-    x = np.log(np.asarray(b_values))
-    y = np.log(np.asarray(residuals))
-    coeffs = np.polyfit(x, y, 1)
-    fit = np.polyval(coeffs, x)
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2)) or 1e-300
+    exponent, r_squared = loglog_fit(b_values, residuals)
     return {
         "field_values": b_values,
         "max_residuals": residuals,
-        "exponent": float(coeffs[0]),
-        "r_squared": 1.0 - ss_res / ss_tot,
+        "exponent": exponent,
+        "r_squared": r_squared,
     }

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -82,6 +83,16 @@ class Word:
 
     def sort_key(self) -> tuple[int, str, int]:
         return (self.beta, self.letters, self.m_power)
+
+    def __str__(self) -> str:
+        """``b O^4 E^2 m^-5``: beta, each run of a letter as a power, the mass power."""
+        pieces = ["b"] if self.beta else []
+        for letter, run in groupby(self.letters):
+            count = len(list(run))
+            pieces.append(letter if count == 1 else f"{letter}^{count}")
+        if self.m_power:
+            pieces.append(f"m^{self.m_power}")
+        return " ".join(pieces) if pieces else "1"
 
 
 def _check_word(word: Word) -> None:
@@ -211,7 +222,7 @@ class NCPoly:
             return "0"
         parts = []
         for w in self.words():
-            parts.append(f"{self._terms[w]} * {_word_str(w)}")
+            parts.append(f"{self._terms[w]} * {w}")
         return "  +  ".join(parts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -222,23 +233,6 @@ def _wrap(terms: dict[Word, Fraction]) -> NCPoly:
     p = NCPoly.__new__(NCPoly)
     p._terms = terms
     return p
-
-
-def _word_str(w: Word) -> str:
-    pieces = []
-    if w.beta:
-        pieces.append("b")
-    i = 0
-    while i < len(w.letters):
-        j = i
-        while j < len(w.letters) and w.letters[j] == w.letters[i]:
-            j += 1
-        run = j - i
-        pieces.append(w.letters[i] if run == 1 else f"{w.letters[i]}^{run}")
-        i = j
-    if w.m_power:
-        pieces.append(f"m^{w.m_power}")
-    return " ".join(pieces) if pieces else "1"
 
 
 # -- constructors ---------------------------------------------------------

@@ -72,7 +72,7 @@ def random_block_hermitian(rng: np.random.Generator, half: int, scale: float = 0
     odd = 0.5 * (odd - beta @ odd @ beta)
     odd *= scale * m / max(np.linalg.norm(odd, 2), 1e-12)
     h = m * beta + even + odd
-    return BlockOperator(n, h, beta, HERMITIAN)
+    return BlockOperator(h, beta, HERMITIAN)
 
 
 def random_block_pseudo(rng: np.random.Generator, half: int, scale: float = 0.25):
@@ -88,7 +88,7 @@ def random_block_pseudo(rng: np.random.Generator, half: int, scale: float = 0.25
     bump *= scale / max(np.linalg.norm(bump, 2), 1e-12)
     bh = bump + (1.0 + 0.2 * rng.uniform()) * np.eye(n)
     h = beta @ bh
-    return BlockOperator(n, h, beta, BETA_PSEUDO_HERMITIAN)
+    return BlockOperator(h, beta, BETA_PSEUDO_HERMITIAN)
 
 
 @pytest.fixture

@@ -89,8 +89,8 @@ def test_criterion_2_grade_one_equivalence():
     g_expected = series([F(-8, 128), F(6, 128), F(-5, 128)])
     ok = (
         diff.is_empty
-        and rel.f.truncated(4) == f_expected
-        and rel.g.truncated(2) == g_expected
+        and rel.f.coeffs[:5] == f_expected.coeffs
+        and rel.g.coeffs[:3] == g_expected.coeffs
         and filt.f == f_expected
         and filt.g == g_expected
     )
@@ -234,7 +234,7 @@ def test_criterion_8_property_suites(rng):
         e_op = np.kron(np.eye(2), d_e).astype(complex)
         o_op = np.kron(sx, d_o).astype(complex)
         h = beta + e_op + o_op
-        blk = BlockOperator(n, h, beta, HERMITIAN)
+        blk = BlockOperator(h, beta, HERMITIAN)
         res = eriksen_transform_numeric(blk)
         closed = relfw_hamiltonian_numeric(m_op, e_op, o_op, beta)
         even = 0.5 * (res.h_fw + beta @ res.h_fw @ beta)

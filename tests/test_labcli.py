@@ -3,6 +3,7 @@ import json
 import sys
 
 import numpy as np
+import pytest
 
 from fwlab import labcli, matfun
 from fwlab.labcli import (
@@ -41,6 +42,8 @@ def test_eriksen_series_perturbation_fails_with_pattern(tmp_path, capsys):
         ["eriksen-series", "--perturb-a24", "--out", str(tmp_path)], capsys
     )
     assert code == EXIT_TOLERANCE
+    # the table writes a run of one letter as a power, as NCPoly.pretty does
+    assert "    b E O^2 E O^2 m^-5: engine -1/32 vs reference -7/256\n" in out
     report = json.loads((tmp_path / "eriksen_series.json").read_text())
     diff = report["comparison"]["diff"]
     assert len(diff) == 8
@@ -149,7 +152,31 @@ def test_spin1_spectrum_bad_field_is_config_error(capsys):
     assert code == EXIT_CONFIG
 
 
-def test_tolerance_env_override(capsys, monkeypatch):
+# for each Tolerances field: an override, and the gate it must trip on a
+# numeric-fw run that passes without one
+TOLERANCE_GATES = {
+    "herm_class": ("0", "ClassMismatch: even part"),
+    "sqrt_residual": ("0", "IllConditioned"),
+    "spectral_gap": ("1e6", "SpectralGapTooSmall"),
+    "eriksen_condition": ("0", "ClassMismatch: Eriksen condition"),
+    "kernel_singularity": ("1e6", "SingularKernel"),
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(matfun.Tolerances)])
+def test_tolerance_env_override(name, capsys, monkeypatch):
+    # a field that no override can make a run fail is a dead knob
+    assert name in TOLERANCE_GATES, f"no gate recorded for Tolerances.{name}"
+    value, gate = TOLERANCE_GATES[name]
+    argv = ["numeric-fw", "--n-sites", "16"]
+    assert run(argv, capsys)[0] == EXIT_OK
+    monkeypatch.setenv(f"FWLAB_TOL_{name.upper()}", value)
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_NUMERICAL
+    assert gate in err
+
+
+def test_tolerance_env_override_reaches_spin1(capsys, monkeypatch):
     # a spectral-gap tolerance far above any gap must reach the transform's gate
     argv = ["spin1-spectrum", "--n-max", "30", "--n-levels", "4"]
     monkeypatch.setenv("FWLAB_TOL_SPECTRAL_GAP", "1e6")

@@ -105,31 +105,36 @@ def test_spectral_norm_close_to_exact(rng):
 
 
 def test_block_operator_validates_involution():
-    with pytest.raises(ValueError):
-        BlockOperator(2, np.eye(2), np.diag([1.0, 2.0]), HERMITIAN)
+    with pytest.raises(ClassMismatch):
+        BlockOperator(np.eye(2), np.diag([1.0, 2.0]), HERMITIAN)
 
 
 def test_block_operator_validates_class():
     beta = np.diag([1.0, -1.0])
     h = np.array([[0.0, 1.0], [0.0, 0.0]])  # neither Hermitian nor pseudo
     with pytest.raises(ValueError):
-        BlockOperator(2, h, beta, HERMITIAN)
+        BlockOperator(h, beta, HERMITIAN)
     with pytest.raises(ValueError):
-        BlockOperator(2, h, beta, BETA_PSEUDO_HERMITIAN)
+        BlockOperator(h, beta, BETA_PSEUDO_HERMITIAN)
     with pytest.raises(ValueError):
-        BlockOperator(2, np.eye(2), beta, "bogus")
+        BlockOperator(np.eye(2), beta, "bogus")
 
 
 def _direct_sum(rng, make):
-    """Two random blocks of one class, summed and shuffled; labels say which is which."""
+    """Two random blocks of one class, summed and shuffled; labels say which is which.
+
+    The shuffle permutes the beta = +1 entries among themselves and the
+    -1 entries among themselves, so beta stays diag(+1, ..., -1, ...)
+    while the labels interleave.
+    """
     a, b = make(rng, 2), make(rng, 3)
-    n = a.dim + b.dim
-    perm = rng.permutation(n)
+    signs = np.concatenate([a.beta.diagonal().real, b.beta.diagonal().real])
+    perm = np.concatenate([rng.permutation(np.flatnonzero(signs == s)) for s in (1.0, -1.0)])
     shuffle = np.ix_(perm, perm)
     h = scipy.linalg.block_diag(a.matrix, b.matrix)[shuffle]
     beta = scipy.linalg.block_diag(a.beta, b.beta)[shuffle]
     labels = np.array(["a"] * a.dim + ["b"] * b.dim)[perm]
-    return BlockOperator(n, h, beta, a.herm_class), labels
+    return BlockOperator(h, beta, a.herm_class), labels
 
 
 @pytest.mark.parametrize("make", [random_block_hermitian, random_block_pseudo])
@@ -156,11 +161,16 @@ def test_sectors_reject_an_entry_between_labels(rng, name):
     dense, labels = _direct_sum(rng, random_block_hermitian)
     (i, j), (k, l) = [(r, c) for r, c in np.argwhere(labels[:, None] != labels[None, :])][:2]
     ops = {"matrix": dense.matrix.copy(), "beta": dense.beta.copy()}
-    # far below every construction gate, so only the exact sector check sees them
     ops[name][i, j] = 1e-15
     ops[name][k, l] = 3e-15
-    leaky = BlockOperator(dense.dim, ops["matrix"], ops["beta"], HERMITIAN)
-    with pytest.raises(ClassMismatch, match=rf"{name}\[{k}, {l}\] = 3\.000e-15"):
+    if name == "beta":
+        # beta's block form is tested exactly when the operator is built
+        with pytest.raises(ClassMismatch, match="beta"):
+            BlockOperator(ops["matrix"], ops["beta"], HERMITIAN)
+        return
+    # far below the class gate, so only the exact sector check sees them
+    leaky = BlockOperator(ops["matrix"], ops["beta"], HERMITIAN)
+    with pytest.raises(ClassMismatch, match=rf"matrix\[{k}, {l}\] = 3\.000e-15"):
         leaky.sectors(labels)
 
 
@@ -177,7 +187,7 @@ def test_sectors_need_one_label_per_index(rng):
 def test_free_dirac_two_by_two():
     beta = np.diag([1.0, -1.0])
     h = np.array([[1.0, 0.75], [0.75, -1.0]])
-    res = eriksen_transform_numeric(BlockOperator(2, h, beta, HERMITIAN))
+    res = eriksen_transform_numeric(BlockOperator(h, beta, HERMITIAN))
     assert np.allclose(res.h_fw, np.diag([1.25, -1.25]), atol=1e-12)
     assert res.odd_residual_norm <= 1e-12
     assert res.spectrum_drift <= 1e-12
@@ -186,7 +196,7 @@ def test_free_dirac_two_by_two():
 def test_already_even_is_fixed_point():
     beta = np.diag([1.0, 1.0, -1.0, -1.0])
     h = np.diag([2.0, 1.5, -1.0, -2.5])
-    res = eriksen_transform_numeric(BlockOperator(4, h, beta, HERMITIAN))
+    res = eriksen_transform_numeric(BlockOperator(h, beta, HERMITIAN))
     assert np.allclose(res.u, np.eye(4), atol=1e-12)
     assert np.allclose(res.h_fw, h, atol=1e-12)
 
@@ -239,7 +249,7 @@ def test_block_operator_norm_is_exact(rng, monkeypatch):
             n = read_first.dim
             exact = np.linalg.norm(read_first.matrix, 2)
             assert abs(read_first.norm - exact) <= 1e-12 * exact
-            filled = BlockOperator(n, read_first.matrix, read_first.beta, read_first.herm_class)
+            filled = BlockOperator(read_first.matrix, read_first.beta, read_first.herm_class)
             shapes.clear()
             eriksen_transform_numeric(filled)
             assert abs(filled.norm - exact) <= 1e-12 * exact
@@ -284,7 +294,7 @@ def test_indefinite_beta_h_is_rejected():
     # outside the regime the sign-function transform is built for
     beta = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
     bh = np.diag([1.5, -0.5, 1.2, 1.0]).astype(complex)
-    blk = BlockOperator(4, beta @ bh, beta, BETA_PSEUDO_HERMITIAN)
+    blk = BlockOperator(beta @ bh, beta, BETA_PSEUDO_HERMITIAN)
     with pytest.raises(SpectrumNotPositive, match="beta\\*H is not positive definite"):
         eriksen_transform_numeric(blk)
 
@@ -301,7 +311,7 @@ def test_gap_guard():
     beta = np.diag([1.0, 1.0, -1.0, -1.0])
     h = np.diag([1.0, 1e-8, -1.0, -1e-8])
     with pytest.raises(SpectralGapTooSmall):
-        eriksen_transform_numeric(BlockOperator(4, h, beta, HERMITIAN))
+        eriksen_transform_numeric(BlockOperator(h, beta, HERMITIAN))
 
 
 def _full_matrix_reference(blk: BlockOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -343,9 +353,8 @@ def test_transform_rejects_other_beta_forms(rng, case):
         if case == "unsorted beta":
             assert list(beta.diagonal().real) == [1.0, -1.0] * 3
         # a valid operator of the class, only the beta form is wrong
-        moved = BlockOperator(blk.dim, q @ blk.matrix @ q.conj().T, beta, blk.herm_class)
         with pytest.raises(ClassMismatch, match="beta"):
-            eriksen_transform_numeric(moved)
+            BlockOperator(q @ blk.matrix @ q.conj().T, beta, blk.herm_class)
 
 
 # -- closed-form relativistic Hamiltonian -----------------------------------------------
@@ -403,7 +412,7 @@ def test_exactness_when_commutators_vanish(rng):
         e_op = np.kron(np.eye(2), d_e).astype(complex)
         o_op = np.kron(sx, d_o).astype(complex)
         h = beta + e_op + o_op
-        blk = BlockOperator(n, h, beta, HERMITIAN)
+        blk = BlockOperator(h, beta, HERMITIAN)
         res = eriksen_transform_numeric(blk)
         closed = relfw_hamiltonian_numeric(m_op, e_op, o_op, beta)
         even = 0.5 * (res.h_fw + beta @ res.h_fw @ beta)
@@ -475,7 +484,7 @@ def _commuting_family(hbar: float) -> ModelOperators:
     e_op = np.kron(np.eye(2), np.diag(0.2 * grid)).astype(complex)
     o_op = np.kron(sx, np.diag(hbar * grid)).astype(complex)
     h = beta + e_op + o_op
-    return ModelOperators(BlockOperator(n, h, beta, HERMITIAN), m_op, e_op, o_op, 0.0)
+    return ModelOperators(BlockOperator(h, beta, HERMITIAN), m_op, e_op, o_op, 0.0)
 
 
 def test_study_commuting_family_reports_exact_agreement():
@@ -493,7 +502,7 @@ def _no_odd_family(hbar: float) -> ModelOperators:
     m_op = np.eye(n, dtype=complex)
     e_op = np.kron(np.eye(2), np.diag(hbar * grid)).astype(complex)
     h = beta + e_op
-    return ModelOperators(BlockOperator(n, h, beta, HERMITIAN), m_op, e_op, np.zeros((n, n)), 0.0)
+    return ModelOperators(BlockOperator(h, beta, HERMITIAN), m_op, e_op, np.zeros((n, n)), 0.0)
 
 
 def test_study_zero_odd_family_reports_exact_agreement():
@@ -514,7 +523,7 @@ def _hopping_family(hbar: float) -> ModelOperators:
     e_op = np.kron(np.eye(2), np.diag(0.2 * grid)).astype(complex)
     o_op = np.kron(sx, hbar * (hop + hop.T)).astype(complex)
     h = beta + e_op + o_op
-    return ModelOperators(BlockOperator(n, h, beta, HERMITIAN), m_op, e_op, o_op, 0.0)
+    return ModelOperators(BlockOperator(h, beta, HERMITIAN), m_op, e_op, o_op, 0.0)
 
 
 def _small_lattice_family(hbar: float) -> ModelOperators:
@@ -608,7 +617,7 @@ def test_closed_form_second_order_for_operator_mass(rng):
         e_op = s * e0
         o_op = 0.5 * o0
         h = beta @ m_op + e_op + o_op
-        blk = BlockOperator(n, h, beta, HERMITIAN)
+        blk = BlockOperator(h, beta, HERMITIAN)
         assert np.linalg.norm(o_op @ m_op - m_op @ o_op, 2) > 1e-4
         fw = eriksen_transform_numeric(blk)
         even = 0.5 * (fw.h_fw + beta @ fw.h_fw @ beta)
