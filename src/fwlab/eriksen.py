@@ -13,6 +13,12 @@ is valid), transforms H, and compares the result against the classical
 eighth-order reference series of de Vries and Jonker in the multiple
 commutator form, including the corrected quartic-odd block A24.
 
+Each displayed reference term is written once, as a commutator pattern
+(the ``P*`` nodes below) with a rational coefficient.  The pattern is
+evaluated once in the word algebra, a word of n letters getting m^(1 - n)
+since every term has the mass dimension of H, and ``relfw`` grades the
+same pattern, so the terms summed here are the terms graded there.
+
 Everything here is exact rational arithmetic; the headline check is
 word-by-word equality of the transformed Hamiltonian with the reference
 at weight 8 (O counts 1, E counts 2).
@@ -45,6 +51,11 @@ __all__ = [
     "ResidualOddPart",
     "EriksenPipeline",
     "fw_hamiltonian_series",
+    # commutator patterns
+    "ODD", "EVEN", "PAtom", "PScalar", "PComm", "PAcomm", "PProd", "PPow", "PSum", "PFunc",
+    "ATOM_O", "ATOM_E", "ATOM_M", "ATOM_F", "ATOM_X", "ATOM_BETA", "C1_PATTERN",
+    "mass_pattern",
+    "kernel_pattern",
     "ReferenceTerm",
     "A24_COEFFICIENTS",
     "reference_terms",
@@ -169,24 +180,127 @@ def fw_hamiltonian_series(weight_max: int = DEFAULT_WEIGHT_MAX) -> NCPoly:
     return EriksenPipeline(weight_max).fw_hamiltonian
 
 
-# -- reference series ---------------------------------------------------------
+# -- commutator patterns ------------------------------------------------------
+#
+# Atoms combined by products, powers, sums, commutators, anticommutators
+# and functions; ``_evaluate`` gives the value, ``relfw`` the minimum grade.
+
+ODD = "odd"
+EVEN = "even"
 
 
 @dataclass(frozen=True)
-class ReferenceTerm:
-    """One displayed term of the reference series.
+class PAtom:
+    name: str
+    parity: str
+    spin: bool
 
-    ``tag`` records the term's structure so the grading layer can map it
-    to a commutator pattern without re-parsing the expanded words:
-    ("mass", k, coeff) for beta*m*(O^2/m^2)**k, ("even_field",) for the
-    bare E, ("c1", j, g_j) for the kernel family (1/m^2){g_j t^j, C1}
-    with C1 = [O,[O,E]], and ("grade2", name) for everything that a
-    single power of the grading parameter cannot reach.
+
+@dataclass(frozen=True)
+class PScalar:
+    """Central number; the grading rules ignore ``value``."""
+
+    value: Fraction = Fraction(1)
+
+
+@dataclass(frozen=True)
+class PComm:
+    a: object
+    b: object
+
+
+@dataclass(frozen=True)
+class PAcomm:
+    a: object
+    b: object
+
+
+@dataclass(frozen=True)
+class PProd:
+    factors: tuple
+
+
+@dataclass(frozen=True)
+class PPow:
+    base: object
+    exponent: int
+
+
+@dataclass(frozen=True)
+class PSum:
+    terms: tuple
+
+
+@dataclass(frozen=True)
+class PFunc:
+    """Function of an operator argument.
+
+    Plain functions require an even argument.  ``odd=True`` marks an odd
+    power series of an odd argument (arctan-like), which keeps the
+    argument's parity and spin structure.
     """
 
     name: str
-    tag: tuple
-    poly: NCPoly
+    arg: object
+    odd: bool = False
+
+
+ATOM_O = PAtom("O", ODD, True)
+ATOM_E = PAtom("E", EVEN, False)
+ATOM_M = PAtom("M", EVEN, False)
+ATOM_F = PAtom("F", EVEN, False)
+ATOM_X = PAtom("X", ODD, True)
+ATOM_BETA = PAtom("beta", EVEN, False)
+
+C1_PATTERN = PComm(ATOM_O, PComm(ATOM_O, ATOM_E))
+
+_ATOM_VALUES = {ATOM_O: o_atom, ATOM_E: e_atom, ATOM_BETA: beta_atom}
+
+
+def _evaluate(expr, w: int, memo: dict) -> NCPoly:
+    """Value of a pattern in the word algebra, products truncated at weight w."""
+    value = memo.get(expr)
+    if value is not None:
+        return value
+    if isinstance(expr, PAtom):
+        if expr not in _ATOM_VALUES:
+            raise ValueError(f"atom {expr.name} has no value in the E/O word algebra")
+        value = _ATOM_VALUES[expr]()
+    elif isinstance(expr, PScalar):
+        value = scalar(expr.value)
+    elif isinstance(expr, PPow):
+        if expr.exponent < 0:
+            raise ValueError("negative pattern powers have no value")
+        value = _evaluate(expr.base, w, memo) if expr.exponent else one()
+        if expr.exponent > 1:
+            value = mul(_evaluate(PPow(expr.base, expr.exponent - 1), w, memo), value, w)
+    elif isinstance(expr, PProd):
+        values = [_evaluate(f, w, memo) for f in expr.factors]
+        value = values[0] if values else one()
+        for factor in values[1:]:
+            value = mul(value, factor, w)
+    elif isinstance(expr, PSum):
+        value = sum((_evaluate(term, w, memo) for term in expr.terms), NCPoly())
+    elif isinstance(expr, (PComm, PAcomm)):
+        bracket = commutator if isinstance(expr, PComm) else anticommutator
+        value = bracket(_evaluate(expr.a, w, memo), _evaluate(expr.b, w, memo), w)
+    else:
+        raise ValueError(f"pattern node {expr!r} has no value in the E/O word algebra")
+    memo[expr] = value
+    return value
+
+
+# -- reference series ---------------------------------------------------------
+
+
+def mass_pattern(k: int) -> PProd:
+    """beta*O^(2k), the k-th term of the mass series beta*m*sqrt(1 + O^2/m^2)."""
+    return PProd((ATOM_BETA, PPow(ATOM_O, 2 * k)))
+
+
+def kernel_pattern(j: int) -> PAcomm:
+    """{O^(2j), [O,[O,E]]}, the j-th term of the grade-one kernel family."""
+    return PAcomm(PPow(ATOM_O, 2 * j), C1_PATTERN)
 
 
 MASS_COEFFS = (
@@ -199,36 +313,56 @@ MASS_COEFFS = (
 
 C1_KERNEL_COEFFS = (Fraction(-1, 16), Fraction(3, 64), Fraction(-5, 128))
 
-# Quartic-odd, quadratic-even block: common prefactor (1/256) m^-5 beta.
+_O2 = PPow(ATOM_O, 2)
+_OE = PComm(ATOM_O, ATOM_E)
+_O2E = PComm(_O2, ATOM_E)
+_OEE = PComm(_OE, ATOM_E)
+
+# Terms no single power of the grading parameter reaches, outside A24.
+GRADE2_TERMS = {
+    "g2_even_even_nest": (
+        Fraction(1, 512),
+        PAcomm(PSum((PScalar(Fraction(2)), PProd((PScalar(Fraction(-1)), _O2)))), PComm(_O2, _O2E)),
+    ),
+    "g2_odd_field_sq": (Fraction(1, 16), PProd((ATOM_BETA, PAcomm(ATOM_O, _OEE)))),
+    "g2_field_cubed": (Fraction(-1, 32), PComm(ATOM_O, PComm(_OEE, ATOM_E))),
+    "g2_even_even_c1": (Fraction(11, 1024), PComm(_O2, PComm(_O2, C1_PATTERN))),
+}
+
+# Quartic-odd, quadratic-even block: common prefactor (1/256) beta.
 A24_COEFFICIENTS: dict[str, Fraction] = {
-    "acomm_o2_oe_sq": Fraction(24),  # {O^2, ([O,E])^2}
-    "o2e_sq": Fraction(-20),  # ([O^2,E])^2
-    "acomm_o2_o2ee": Fraction(-14),  # {O^2, [[O^2,E],E]}
-    "nest_o_o_o2ee": Fraction(-4),  # [O,[O,[[O^2,E],E]]]
-    "nest_o_o_o2e_then_e": Fraction(9, 2),  # [[O,[O,[O^2,E]]],E]
-    "comm_ooe_o2e": Fraction(-9, 2),  # [[O,[O,E]],[O^2,E]]
-    "comm_o2_o_oee": Fraction(5, 2),  # [O^2,[O,[[O,E],E]]]
+    "acomm_o2_oe_sq": Fraction(24),
+    "o2e_sq": Fraction(-20),
+    "acomm_o2_o2ee": Fraction(-14),
+    "nest_o_o_o2ee": Fraction(-4),
+    "nest_o_o_o2e_then_e": Fraction(9, 2),
+    "comm_ooe_o2e": Fraction(-9, 2),
+    "comm_o2_o_oee": Fraction(5, 2),
+}
+
+A24_STRUCTURES = {
+    "acomm_o2_oe_sq": PAcomm(_O2, PPow(_OE, 2)),  # {O^2, ([O,E])^2}
+    "o2e_sq": PPow(_O2E, 2),  # ([O^2,E])^2
+    "acomm_o2_o2ee": PAcomm(_O2, PComm(_O2E, ATOM_E)),  # {O^2, [[O^2,E],E]}
+    "nest_o_o_o2ee": PComm(ATOM_O, PComm(ATOM_O, PComm(_O2E, ATOM_E))),  # [O,[O,[[O^2,E],E]]]
+    "nest_o_o_o2e_then_e": PComm(PComm(ATOM_O, PComm(ATOM_O, _O2E)), ATOM_E),  # [[O,[O,[O^2,E]]],E]
+    "comm_ooe_o2e": PComm(C1_PATTERN, _O2E),  # [[O,[O,E]],[O^2,E]]
+    "comm_o2_o_oee": PComm(_O2, PComm(ATOM_O, _OEE)),  # [O^2,[O,[[O,E],E]]]
 }
 
 
-def _a24_structures(w: int) -> dict[str, NCPoly]:
-    E = e_atom()
-    O = o_atom()
-    o2 = from_word("OO")
-    oe = commutator(O, E, w)
-    o2e = commutator(o2, E, w)
-    o2ee = commutator(o2e, E, w)
-    oee = commutator(oe, E, w)
-    c1 = commutator(O, oe, w)
-    return {
-        "acomm_o2_oe_sq": anticommutator(o2, mul(oe, oe, w), w),
-        "o2e_sq": mul(o2e, o2e, w),
-        "acomm_o2_o2ee": anticommutator(o2, o2ee, w),
-        "nest_o_o_o2ee": commutator(O, commutator(O, o2ee, w), w),
-        "nest_o_o_o2e_then_e": commutator(commutator(O, commutator(O, o2e, w), w), E, w),
-        "comm_ooe_o2e": commutator(c1, o2e, w),
-        "comm_o2_o_oee": commutator(o2, commutator(O, oee, w), w),
-    }
+@dataclass(frozen=True)
+class ReferenceTerm:
+    """One displayed term: ``coeff`` times ``pattern``, with masses restored.
+
+    ``poly`` is the pattern's value at the truncation weight.  Every term
+    has the mass dimension of H, so a word of n letters carries m^(1 - n).
+    """
+
+    name: str
+    coeff: Fraction
+    pattern: object
+    poly: NCPoly
 
 
 def reference_terms(
@@ -239,57 +373,35 @@ def reference_terms(
 
     ``a24_overrides`` replaces the leading rational coefficient of the
     named A24 structures; the fault-injection hook for mutation tests.
+    Terms with no word up to ``weight_max`` are left out.
     """
     if weight_max > 8:
         raise ValueError("reference data is encoded through weight 8 only")
-    w = weight_max
-    E = e_atom()
-    O = o_atom()
-    o2 = from_word("OO")
-    oe = commutator(O, E, w)
-    oee = commutator(oe, E, w)
-    c1 = commutator(O, oe, w)
-
-    terms: list[ReferenceTerm] = []
-
-    def _append(name: str, tag: tuple, poly: NCPoly) -> None:
-        poly = poly.weight_truncate(w)
-        if not poly.is_zero:
-            terms.append(ReferenceTerm(name, tag, poly))
-
-    for k, coeff in enumerate(MASS_COEFFS):
-        poly = from_word("B" + "OO" * k, m_power=1 - 2 * k, coeff=coeff)
-        _append(f"mass_t{k}", ("mass", k, coeff), poly)
-    _append("even_field", ("even_field",), E)
-    for j, gj in enumerate(C1_KERNEL_COEFFS):
-        kernel = from_word("OO" * j, m_power=-2 - 2 * j)
-        _append(f"c1_kernel_t{j}", ("c1", j, gj), anticommutator(kernel, c1, w) * gj)
-
-    o2e = commutator(o2, E, w)
-    o2o2e = commutator(o2, o2e, w)
-    poly = anticommutator(scalar(2).times_m(2) - o2, o2o2e, w)
-    _append("g2_even_even_nest", ("grade2", "g2_even_even_nest"), poly.times_m(-6) * Fraction(1, 512))
-
-    poly = mul(beta_atom(), anticommutator(O, oee, w), w)
-    _append("g2_odd_field_sq", ("grade2", "g2_odd_field_sq"), poly.times_m(-3) * Fraction(1, 16))
-
-    poly = commutator(O, commutator(oee, E, w), w)
-    _append("g2_field_cubed", ("grade2", "g2_field_cubed"), poly.times_m(-4) * Fraction(-1, 32))
-
-    poly = commutator(o2, commutator(o2, c1, w), w)
-    _append("g2_even_even_c1", ("grade2", "g2_even_even_c1"), poly.times_m(-6) * Fraction(11, 1024))
-
     coeffs = dict(A24_COEFFICIENTS)
     if a24_overrides:
         unknown = set(a24_overrides) - set(coeffs)
         if unknown:
             raise KeyError(f"unknown A24 structures: {sorted(unknown)}")
         coeffs.update({k: Fraction(v) for k, v in a24_overrides.items()})
-    structures = _a24_structures(w)
-    beta = beta_atom()
-    for key, structure in structures.items():
-        poly = mul(beta, structure, w).times_m(-5) * (coeffs[key] * Fraction(1, 256))
-        _append(f"a24_{key}", ("grade2", f"a24_{key}"), poly)
+    table = [
+        *((f"mass_t{k}", c, mass_pattern(k)) for k, c in enumerate(MASS_COEFFS)),
+        ("even_field", Fraction(1), ATOM_E),
+        *((f"c1_kernel_t{j}", g, kernel_pattern(j)) for j, g in enumerate(C1_KERNEL_COEFFS)),
+        *((name, c, pattern) for name, (c, pattern) in GRADE2_TERMS.items()),
+        *(
+            (f"a24_{key}", coeffs[key] / 256, PProd((ATOM_BETA, structure)))
+            for key, structure in A24_STRUCTURES.items()
+        ),
+    ]
+    memo: dict = {}
+    terms = []
+    for name, coeff, pattern in table:
+        value = _evaluate(pattern, weight_max, memo).weight_truncate(weight_max)
+        poly = NCPoly(
+            {Word(w.beta, w.letters, 1 - len(w.letters)): c * coeff for w, c in value.items()}
+        )
+        if not poly.is_zero:
+            terms.append(ReferenceTerm(name, coeff, pattern, poly))
     return terms
 
 
@@ -301,7 +413,7 @@ def reference_devries_jonker(
     acc = NCPoly()
     for term in reference_terms(weight_max, a24_overrides):
         acc = acc + term.poly
-    return acc.weight_truncate(weight_max)
+    return acc
 
 
 # -- comparison ---------------------------------------------------------------

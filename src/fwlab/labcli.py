@@ -269,6 +269,10 @@ def _lattice_spec(cfg: NumericFwConfig, hbar: float) -> LatticeDiracSpec:
 def cmd_numeric_fw(cfg: NumericFwConfig, out_dir: str | None) -> int:
     if len(cfg.hbar_list) < 4:
         raise ConfigError("need at least 4 hbar values for the slope fit")
+    if cfg.seed and cfg.potential_type != "random-smooth":
+        raise ConfigError(
+            f"seed picks the random-smooth potential; potential_type is {cfg.potential_type!r}"
+        )
     tols = _tolerances_from_env()
     report = _report_header(cfg)
 

@@ -32,7 +32,6 @@ from typing import Iterable, Iterator, Mapping
 __all__ = [
     "Word",
     "NCPoly",
-    "zero",
     "one",
     "scalar",
     "e_atom",
@@ -236,10 +235,6 @@ def _wrap(terms: dict[Word, Fraction]) -> NCPoly:
 
 
 # -- constructors ---------------------------------------------------------
-
-
-def zero() -> NCPoly:
-    return NCPoly()
 
 
 def one() -> NCPoly:

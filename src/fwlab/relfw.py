@@ -25,6 +25,10 @@ structure (the square of a spin-projected quantity starts with the unit
 matrix), which is what makes [O^2, [O,E]]-type patterns cost two grades
 while arbitrarily deep [O,[O,...[O,E]...]] nests cost one.  Reported
 grades are guaranteed minimums, never equalities.
+
+The pattern nodes live in ``eriksen``, where each reference term is a
+commutator pattern evaluated once in the word algebra; the grade filter
+grades that same pattern once, so what it drops is what the series sums.
 """
 
 from __future__ import annotations
@@ -33,27 +37,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from . import fseries
 from .fseries import RatSeries
-from .eriksen import ReferenceTerm, reference_terms
+from .eriksen import (  # the pattern vocabulary is re-exported below
+    ATOM_BETA, ATOM_E, ATOM_F, ATOM_M, ATOM_O, ATOM_X, C1_PATTERN, EVEN, ODD,
+    PAcomm, PAtom, PComm, PFunc, PPow, PProd, PScalar, PSum,
+    ReferenceTerm, kernel_pattern, mass_pattern, reference_terms,
+)
 
 __all__ = [
     "UnclassifiableTerm",
-    "ODD",
-    "EVEN",
-    "PAtom",
-    "PScalar",
-    "PComm",
-    "PAcomm",
-    "PProd",
-    "PPow",
-    "PSum",
-    "PFunc",
-    "ATOM_O",
-    "ATOM_E",
-    "ATOM_M",
-    "ATOM_F",
-    "ATOM_X",
-    "ATOM_BETA",
-    "C1_PATTERN",
+    "ODD", "EVEN", "PAtom", "PScalar", "PComm", "PAcomm", "PProd", "PPow", "PSum", "PFunc",
+    "ATOM_O", "ATOM_E", "ATOM_M", "ATOM_F", "ATOM_X", "ATOM_BETA", "C1_PATTERN",
     "grade_audit",
     "GradedEvenForm",
     "ReferenceClassification",
@@ -67,79 +60,9 @@ __all__ = [
     "bch_audit",
 ]
 
-ODD = "odd"
-EVEN = "even"
-
 
 class UnclassifiableTerm(ValueError):
     """Expression outside the grading vocabulary."""
-
-
-# -- pattern expressions -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PAtom:
-    name: str
-    parity: str
-    spin: bool
-
-
-@dataclass(frozen=True)
-class PScalar:
-    pass
-
-
-@dataclass(frozen=True)
-class PComm:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
-class PAcomm:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
-class PProd:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class PPow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class PSum:
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class PFunc:
-    """Function of an operator argument.
-
-    Plain functions require an even argument.  ``odd=True`` marks an odd
-    power series of an odd argument (arctan-like), which keeps the
-    argument's parity and spin structure.
-    """
-
-    name: str
-    arg: object
-    odd: bool = False
-
-
-ATOM_O = PAtom("O", ODD, True)
-ATOM_E = PAtom("E", EVEN, False)
-ATOM_M = PAtom("M", EVEN, False)
-ATOM_F = PAtom("F", EVEN, False)
-ATOM_X = PAtom("X", ODD, True)
-ATOM_BETA = PAtom("beta", EVEN, False)
-
-C1_PATTERN = PComm(ATOM_O, PComm(ATOM_O, ATOM_E))
 
 
 def _traits(expr) -> tuple[int, str, bool]:
@@ -177,16 +100,11 @@ def _traits(expr) -> tuple[int, str, bool]:
         # leading spin structure is that of the lowest-grade contributions
         spin = any(s for g, _, s in traits if g == grade)
         return grade, parities.pop(), spin
-    if isinstance(expr, PAcomm):
+    if isinstance(expr, (PComm, PAcomm)):
         ga, pa, sa = _traits(expr.a)
         gb, pb, sb = _traits(expr.b)
         parity = EVEN if pa == pb else ODD
-        return ga + gb, parity, sa or sb
-    if isinstance(expr, PComm):
-        ga, pa, sa = _traits(expr.a)
-        gb, pb, sb = _traits(expr.b)
-        parity = EVEN if pa == pb else ODD
-        free = (pa == ODD and pb == ODD) or (sa and sb)
+        free = isinstance(expr, PAcomm) or (pa == ODD and pb == ODD) or (sa and sb)
         return ga + gb + (0 if free else 1), parity, sa or sb
     if isinstance(expr, PFunc):
         g, p, s = _traits(expr.arg)
@@ -225,45 +143,6 @@ class GradedEvenForm:
         }
 
 
-def _pattern_for(term: ReferenceTerm):
-    kind = term.tag[0]
-    if kind == "mass":
-        k = term.tag[1]
-        return PProd((ATOM_BETA, PPow(ATOM_O, 2 * k)))
-    if kind == "even_field":
-        return ATOM_E
-    if kind == "c1":
-        j = term.tag[1]
-        return PAcomm(PPow(ATOM_O, 2 * j), C1_PATTERN)
-    if kind == "grade2":
-        return _GRADE2_PATTERNS[term.tag[1]]
-    raise UnclassifiableTerm(f"reference term {term.name} has unknown tag {term.tag}")
-
-
-_O2 = PPow(ATOM_O, 2)
-_OE = PComm(ATOM_O, ATOM_E)
-_O2E = PComm(_O2, ATOM_E)
-_OEE = PComm(_OE, ATOM_E)
-
-_GRADE2_PATTERNS = {
-    "g2_even_even_nest": PAcomm(PSum((PScalar(), _O2)), PComm(_O2, _O2E)),
-    "g2_odd_field_sq": PProd((ATOM_BETA, PAcomm(ATOM_O, _OEE))),
-    "g2_field_cubed": PComm(ATOM_O, PComm(_OEE, ATOM_E)),
-    "g2_even_even_c1": PComm(_O2, PComm(_O2, C1_PATTERN)),
-    "a24_acomm_o2_oe_sq": PProd((ATOM_BETA, PAcomm(_O2, PPow(_OE, 2)))),
-    "a24_o2e_sq": PProd((ATOM_BETA, PPow(_O2E, 2))),
-    "a24_acomm_o2_o2ee": PProd((ATOM_BETA, PAcomm(_O2, PComm(_O2E, ATOM_E)))),
-    "a24_nest_o_o_o2ee": PProd(
-        (ATOM_BETA, PComm(ATOM_O, PComm(ATOM_O, PComm(_O2E, ATOM_E))))
-    ),
-    "a24_nest_o_o_o2e_then_e": PProd(
-        (ATOM_BETA, PComm(PComm(ATOM_O, PComm(ATOM_O, _O2E)), ATOM_E))
-    ),
-    "a24_comm_ooe_o2e": PProd((ATOM_BETA, PComm(PComm(ATOM_O, _OE), _O2E))),
-    "a24_comm_o2_o_oee": PProd((ATOM_BETA, PComm(_O2, PComm(ATOM_O, _OEE)))),
-}
-
-
 @dataclass(frozen=True)
 class ReferenceClassification:
     """Reference terms split by audited grade; nothing may be lost."""
@@ -273,23 +152,33 @@ class ReferenceClassification:
     grade_two_plus: tuple[ReferenceTerm, ...]
 
 
+def _family_index(pattern, family, weight_max: int) -> int | None:
+    """The k with family(k) == pattern among those weight_max reaches."""
+    return next((k for k in range(weight_max // 2 + 1) if family(k) == pattern), None)
+
+
 def classify_reference(weight_max: int = 8) -> ReferenceClassification:
+    """Group the reference terms by the audited grade of their patterns.
+
+    Grade 0 must be the bare E or a mass term beta*O^(2k), grade 1 a
+    kernel term {O^(2j), [O,[O,E]]}; anything else there is a grading
+    or reference-data error.
+    """
     backbone = []
     grade_one = []
     grade_two = []
     for term in reference_terms(weight_max):
-        grade = grade_audit(_pattern_for(term))
+        grade = grade_audit(term.pattern)
         if grade == 0:
-            if term.tag[0] not in ("mass", "even_field"):
+            mass_k = _family_index(term.pattern, mass_pattern, weight_max)
+            if term.pattern != ATOM_E and mass_k is None:
                 raise UnclassifiableTerm(f"unexpected grade-0 term {term.name}")
             backbone.append(term)
         elif grade == 1:
-            if term.tag[0] != "c1":
+            if _family_index(term.pattern, kernel_pattern, weight_max) is None:
                 raise UnclassifiableTerm(f"unexpected grade-1 term {term.name}")
             grade_one.append(term)
         else:
-            if term.tag[0] != "grade2":
-                raise UnclassifiableTerm(f"term {term.name} audited at grade {grade}")
             grade_two.append(term)
     return ReferenceClassification(tuple(backbone), tuple(grade_one), tuple(grade_two))
 
@@ -303,18 +192,16 @@ def eriksen_grade_filter(weight_max: int = 8) -> GradedEvenForm:
     if weight_max < 4:
         raise ValueError("the kernel family needs weight_max >= 4")
     cls = classify_reference(weight_max)
-    f_order = weight_max // 2
-    g_order = (weight_max - 4) // 2
-    f_coeffs = [Fraction(0)] * (f_order + 1)
+    f_coeffs = [Fraction(0)] * (weight_max // 2 + 1)
+    e_term = False
     for term in cls.backbone:
-        if term.tag[0] == "mass":
-            _, k, coeff = term.tag
-            f_coeffs[k] = coeff
-    g_coeffs = [Fraction(0)] * (g_order + 1)
+        if term.pattern == ATOM_E:
+            e_term = True
+        else:
+            f_coeffs[_family_index(term.pattern, mass_pattern, weight_max)] = term.coeff
+    g_coeffs = [Fraction(0)] * ((weight_max - 4) // 2 + 1)
     for term in cls.grade_one:
-        _, j, gj = term.tag
-        g_coeffs[j] = gj
-    e_term = any(t.tag[0] == "even_field" for t in cls.backbone)
+        g_coeffs[_family_index(term.pattern, kernel_pattern, weight_max)] = term.coeff
     return GradedEvenForm(
         f=RatSeries(tuple(f_coeffs)),
         e_term=e_term,

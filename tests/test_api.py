@@ -1,17 +1,24 @@
-"""Every name a fwlab module exports in ``__all__`` exists.
+"""Every name a fwlab module exports in ``__all__`` exists and is used.
 
 A stale ``__all__`` entry breaks only ``from fwlab.<module> import *``,
-which nothing else in the suite does.
+which nothing else in the suite does.  A public name whose only caller
+is its own test is dead weight in the package.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import fwlab
 
 MODULES = ["fwlab"] + [f"fwlab.{m.name}" for m in pkgutil.iter_modules(fwlab.__path__)]
+ROOT = Path(__file__).resolve().parent.parent
+
+# the reader the golden-file tests load committed series with
+TEST_ONLY_EXPORTS = {"fwlab.ncalg.poly_from_json_obj"}
 
 
 def test_every_module_is_covered():
@@ -26,3 +33,35 @@ def test_all_names_resolve_and_star_import_works(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def _names_read(directory: Path, with_strings: bool = False) -> set[str]:
+    """Names loaded in a directory's modules, bare or as attributes, outside
+    their own top-level definition; with ``with_strings``, string constants too."""
+    names = set()
+    for path in directory.glob("*.py"):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            found = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    found.add(node.attr)
+                elif with_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    found.add(node.value)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                found.discard(stmt.name)
+            names |= found
+    return names
+
+
+def test_every_export_has_a_caller_besides_its_tests():
+    # perfbench binds traced functions by their names as strings
+    read = _names_read(ROOT / "src" / "fwlab") | _names_read(ROOT / "perfbench", with_strings=True)
+    unused = [
+        f"{name}.{export}"
+        for name in MODULES
+        for export in getattr(importlib.import_module(name), "__all__", [])
+        if export not in read
+    ]
+    assert sorted(unused) == sorted(TEST_ONLY_EXPORTS)

@@ -278,3 +278,31 @@ def test_weight_levels_consistent_with_weight_twelve(pipeline12):
     fw12 = pipeline12.fw_hamiltonian
     for w in (8, 10):
         assert fw_hamiltonian_series(w) == fw12.weight_truncate(w)
+
+
+# -- mass dimension ----------------------------------------------------------------
+
+# Each letter has the mass dimension of m, so a stage of dimension d
+# carries m^(d - n) on every word of n letters.
+STAGE_DIMENSIONS = {
+    "h": 1,
+    "h_squared": 2,
+    "k": 0,
+    "sign_operator": 0,
+    "denominator": 0,
+    "unitary": 0,
+    "fw_hamiltonian": 1,
+}
+
+
+@pytest.mark.parametrize("stage", STAGE_DIMENSIONS)
+def test_stage_words_carry_the_stage_mass_dimension(pipeline12, stage):
+    d = STAGE_DIMENSIONS[stage]
+    words = [w for w, _ in getattr(pipeline12, stage).items()]
+    assert words and all(w.m_power == d - len(w.letters) for w in words)
+
+
+@pytest.mark.parametrize("w", range(9))
+def test_reference_words_carry_the_mass_dimension_of_h(w):
+    for term in reference_terms(w):
+        assert all(word.m_power == 1 - len(word.letters) for word, _ in term.poly.items()), term.name

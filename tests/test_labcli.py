@@ -216,6 +216,16 @@ def test_seed_is_numeric_fw_config_only(tmp_path, capsys):
         assert "seed" not in {f.name for f in dataclasses.fields(config)}
 
 
+def test_seed_without_random_potential_is_config_error(tmp_path, capsys):
+    # a seed that picks nothing would only change the config hash
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 4}))
+    for argv in (["numeric-fw", "--seed", "3"], ["numeric-fw", "--config", str(config)]):
+        code, _, err = run(argv, capsys)
+        assert code == EXIT_CONFIG
+        assert "seed" in err
+
+
 def test_spin1_truncation_guard_maps_to_numerical_exit(capsys):
     code, _, err = run(["spin1-spectrum", "--n-max", "8", "--n-levels", "20"], capsys)
     assert code == 3

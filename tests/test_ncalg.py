@@ -20,7 +20,6 @@ from fwlab.ncalg import (
     poly_from_json_obj,
     poly_to_json_obj,
     scalar,
-    zero,
 )
 
 W = 8
@@ -88,7 +87,7 @@ def test_even_odd_split_beta_oe():
 
 
 def test_even_odd_split_zero():
-    even, odd = zero().even_part(), zero().odd_part()
+    even, odd = NCPoly().even_part(), NCPoly().odd_part()
     assert even.is_zero and odd.is_zero
 
 

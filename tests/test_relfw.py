@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab.eriksen import compare_series, reference_devries_jonker
+from fwlab import eriksen
+from fwlab.eriksen import (
+    compare_series,
+    fw_hamiltonian_series,
+    reference_devries_jonker,
+    reference_terms,
+)
 from fwlab.fseries import RatSeries, series
 from fwlab.ncalg import NCPoly
 from fwlab.relfw import (
@@ -74,6 +80,52 @@ def test_classification_partitions_reference():
     cls = classify_reference(8)
     expansion = sum((t.poly for t in cls.backbone + cls.grade_one + cls.grade_two_plus), NCPoly())
     assert compare_series(expansion.weight_truncate(8), reference_devries_jonker(8)).is_empty
+
+
+_OE = PComm(ATOM_O, ATOM_E)
+
+
+@pytest.mark.parametrize(
+    "table, key, entry, name",
+    [
+        # beta[[O,E],[O,[O,[O,E]]]] for beta([O^2,E])^2
+        ("A24_STRUCTURES", "o2e_sq", PComm(_OE, PComm(ATOM_O, C1_PATTERN)), "a24_o2e_sq"),
+        # [[O,E],[[O,E],E]] for [O,[[[O,E],E],E]]
+        (
+            "GRADE2_TERMS",
+            "g2_field_cubed",
+            (F(-1, 32), PComm(_OE, PComm(_OE, ATOM_E))),
+            "g2_field_cubed",
+        ),
+    ],
+)
+def test_audited_pattern_is_the_summed_one(monkeypatch, table, key, entry, name):
+    # another grade-2 structure: still dropped by the grade filter, but
+    # its value is what the reference sums, so the series comparison fails
+    monkeypatch.setitem(getattr(eriksen, table), key, entry)
+    assert not compare_series(fw_hamiltonian_series(8), reference_devries_jonker(8)).is_empty
+    assert name in {t.name for t in classify_reference(8).grade_two_plus}
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        PProd((ATOM_BETA, ATOM_E)),  # grade 0, but neither E nor beta*O^(2k)
+        PComm(ATOM_O, PComm(ATOM_E, ATOM_O)),  # grade 1, but not {O^(2j), C1}
+        PAcomm(PPow(ATOM_O, 4), PComm(ATOM_O, ATOM_E)),
+    ],
+)
+def test_low_grade_terms_outside_the_families_are_rejected(monkeypatch, pattern):
+    monkeypatch.setitem(eriksen.GRADE2_TERMS, "g2_field_cubed", (F(1), pattern))
+    with pytest.raises(UnclassifiableTerm):
+        classify_reference(8)
+
+
+@pytest.mark.parametrize("pattern", [PPow(ATOM_O, -1), PFunc("sqrt", PPow(ATOM_O, 2)), ATOM_M])
+def test_reference_pattern_without_a_word_value_rejected(monkeypatch, pattern):
+    monkeypatch.setitem(eriksen.GRADE2_TERMS, "g2_field_cubed", (F(1), pattern))
+    with pytest.raises(ValueError):
+        reference_terms(8)
 
 
 def test_filter_orders_scale_with_weight():
