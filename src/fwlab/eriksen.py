@@ -32,19 +32,7 @@ from functools import cached_property
 from typing import Mapping
 
 from . import fseries
-from .ncalg import (
-    NCPoly,
-    Word,
-    anticommutator,
-    beta_atom,
-    commutator,
-    e_atom,
-    from_word,
-    mul,
-    o_atom,
-    one,
-    scalar,
-)
+from .ncalg import NCPoly, Word, anticommutator, commutator, from_word, mul
 
 __all__ = [
     "NonEvenDenominator",
@@ -83,7 +71,7 @@ class ResidualOddPart(ArithmeticError):
 
 def _inv_sqrt_coeffs(order: int) -> list[Fraction]:
     """Taylor coefficients of (1 + u)^(-1/2) through u**order."""
-    return list(fseries.inv_sqrt_series(fseries.one_plus_u(order)).coeffs)
+    return list(fseries.inv_sqrt_series(fseries.series([1, 1], order)).coeffs)
 
 
 def _series_apply(coeffs: list[Fraction], x: NCPoly, weight_max: int) -> NCPoly:
@@ -99,9 +87,9 @@ def _series_apply(coeffs: list[Fraction], x: NCPoly, weight_max: int) -> NCPoly:
         if w_min == 0:
             raise ValueError("series argument has a weight-0 word; its truncation is not exact")
         order = min(order, weight_max // w_min)
-    acc = scalar(coeffs[order])
+    acc = from_word("", coeff=coeffs[order])
     for c in reversed(coeffs[:order]):
-        acc = mul(acc, x, weight_max) + scalar(c)
+        acc = mul(acc, x, weight_max) + from_word("", coeff=c)
     return acc
 
 
@@ -115,7 +103,7 @@ class EriksenPipeline:
 
     @cached_property
     def h(self) -> NCPoly:
-        return from_word("B", m_power=1) + e_atom() + o_atom()
+        return from_word("B", m_power=1) + from_word("E") + from_word("O")
 
     @cached_property
     def h_squared(self) -> NCPoly:
@@ -124,7 +112,7 @@ class EriksenPipeline:
     @cached_property
     def k(self) -> NCPoly:
         """K = H^2/m^2 - 1 = 2 beta E/m + (E^2 + {E,O} + O^2)/m^2, weight >= 2."""
-        return self.h_squared.times_m(-2) - one()
+        return self.h_squared.times_m(-2) - from_word("")
 
     @cached_property
     def sign_operator(self) -> NCPoly:
@@ -135,9 +123,9 @@ class EriksenPipeline:
     @cached_property
     def denominator(self) -> NCPoly:
         lam = self.sign_operator
-        beta = beta_atom()
+        beta = from_word("B")
         return (
-            scalar(2)
+            from_word("", coeff=2)
             + mul(beta, lam, self.weight_max)
             + mul(lam, beta, self.weight_max)
         )
@@ -145,13 +133,13 @@ class EriksenPipeline:
     @cached_property
     def unitary(self) -> NCPoly:
         lam = self.sign_operator
-        beta = beta_atom()
-        delta = self.denominator - scalar(4)
+        beta = from_word("B")
+        delta = self.denominator - from_word("", coeff=4)
         if not delta.odd_part().is_zero:
             raise NonEvenDenominator(delta.odd_part().pretty())
         coeffs = _inv_sqrt_coeffs(self.weight_max)
         inv_root = _series_apply(coeffs, delta * Fraction(1, 4), self.weight_max)
-        numerator = one() + mul(beta, lam, self.weight_max)
+        numerator = from_word("") + mul(beta, lam, self.weight_max)
         return mul(numerator, inv_root, self.weight_max) * Fraction(1, 2)
 
     @cached_property
@@ -163,17 +151,6 @@ class EriksenPipeline:
         if not odd.is_zero:
             raise ResidualOddPart(min(w.weight for w, _ in odd.items()))
         return h_fw
-
-    def eriksen_condition_residual(self) -> NCPoly:
-        """beta*U - adjoint(U)*beta; identically zero for the Eriksen unitary."""
-        u = self.unitary
-        beta = beta_atom()
-        return mul(beta, u, self.weight_max) - mul(u.adjoint(), beta, self.weight_max)
-
-    def unitarity_residual(self) -> NCPoly:
-        """U * (beta U beta) - 1; zero to the truncation weight."""
-        u = self.unitary
-        return mul(u, u.beta_conjugate(), self.weight_max) - one()
 
 
 def fw_hamiltonian_series(weight_max: int = DEFAULT_WEIGHT_MAX) -> NCPoly:
@@ -254,7 +231,7 @@ ATOM_BETA = PAtom("beta", EVEN, False)
 
 C1_PATTERN = PComm(ATOM_O, PComm(ATOM_O, ATOM_E))
 
-_ATOM_VALUES = {ATOM_O: o_atom, ATOM_E: e_atom, ATOM_BETA: beta_atom}
+_ATOM_SYMBOLS = {ATOM_O: "O", ATOM_E: "E", ATOM_BETA: "B"}
 
 
 def _evaluate(expr, w: int, memo: dict) -> NCPoly:
@@ -263,20 +240,20 @@ def _evaluate(expr, w: int, memo: dict) -> NCPoly:
     if value is not None:
         return value
     if isinstance(expr, PAtom):
-        if expr not in _ATOM_VALUES:
+        if expr not in _ATOM_SYMBOLS:
             raise ValueError(f"atom {expr.name} has no value in the E/O word algebra")
-        value = _ATOM_VALUES[expr]()
+        value = from_word(_ATOM_SYMBOLS[expr])
     elif isinstance(expr, PScalar):
-        value = scalar(expr.value)
+        value = from_word("", coeff=expr.value)
     elif isinstance(expr, PPow):
         if expr.exponent < 0:
             raise ValueError("negative pattern powers have no value")
-        value = _evaluate(expr.base, w, memo) if expr.exponent else one()
+        value = _evaluate(expr.base, w, memo) if expr.exponent else from_word("")
         if expr.exponent > 1:
             value = mul(_evaluate(PPow(expr.base, expr.exponent - 1), w, memo), value, w)
     elif isinstance(expr, PProd):
         values = [_evaluate(f, w, memo) for f in expr.factors]
-        value = values[0] if values else one()
+        value = values[0] if values else from_word("")
         for factor in values[1:]:
             value = mul(value, factor, w)
     elif isinstance(expr, PSum):
@@ -459,7 +436,7 @@ def compare_series(a: NCPoly, b: NCPoly, weight_max: int | None = None) -> DiffR
     """Word-by-word exact comparison; an empty report means equality."""
     words = set(w for w, _ in a.items()) | set(w for w, _ in b.items())
     entries = []
-    for w in sorted(words, key=Word.sort_key):
+    for w in sorted(words):
         ca = a.coeff(w)
         cb = b.coeff(w)
         if ca != cb:

@@ -5,6 +5,10 @@ A series is a dense coefficient vector c0..cN in one commuting variable
 truncation order is explicit in every value and arithmetic is exact, so
 these series are safe to use as coefficient oracles for the operator
 expansions elsewhere in the package.
+
+``series(values, order)`` is the one constructor: ``series([1], n)`` is
+the constant 1, ``series([0, 1], n)`` the variable and ``series([1, 1], n)``
+the series 1 + u, each to order n.
 """
 
 from __future__ import annotations
@@ -19,9 +23,6 @@ __all__ = [
     "ZeroConstantTerm",
     "NonSquareConstantTerm",
     "series",
-    "constant",
-    "variable",
-    "one_plus_u",
     "sqrt_series",
     "inv_sqrt_series",
     "inverse",
@@ -85,20 +86,11 @@ class RatSeries:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RatSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def to_json_obj(self) -> list[str]:
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(str(c) for c in self.coeffs)
-        return f"RatSeries([{body}])"
 
-
-# -- constructors -------------------------------------------------------------
+# -- constructor --------------------------------------------------------------
 
 
 def series(values: Iterable[Fraction | int | str], order: int | None = None) -> RatSeries:
@@ -110,18 +102,6 @@ def series(values: Iterable[Fraction | int | str], order: int | None = None) -> 
         else:
             coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
     return RatSeries(tuple(coeffs))
-
-
-def constant(value: Fraction | int, order: int) -> RatSeries:
-    return series([value], order=order)
-
-
-def variable(order: int) -> RatSeries:
-    return series([0, 1], order=order)
-
-
-def one_plus_u(order: int) -> RatSeries:
-    return series([1, 1], order=order)
 
 
 # -- functional calculus ------------------------------------------------------

@@ -267,8 +267,6 @@ def _lattice_spec(cfg: NumericFwConfig, hbar: float) -> LatticeDiracSpec:
 
 
 def cmd_numeric_fw(cfg: NumericFwConfig, out_dir: str | None) -> int:
-    if len(cfg.hbar_list) < 4:
-        raise ConfigError("need at least 4 hbar values for the slope fit")
     if cfg.seed and cfg.potential_type != "random-smooth":
         raise ConfigError(
             f"seed picks the random-smooth potential; potential_type is {cfg.potential_type!r}"
@@ -414,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-max", type=int, default=None, dest="weight_max")
     p.add_argument(
         "--compute-only",
-        action="store_true",
+        action="store_false",
+        dest="compare",
         default=None,
         help="emit the engine series without comparing (allows weight_max up to 12)",
     )
@@ -494,10 +493,8 @@ def main(argv: list[str] | None = None) -> int:
     cli_values = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("command", "config", "out", "compute_only")
+        if k not in ("command", "config", "out")
     }
-    if command == "eriksen-series" and getattr(args, "compute_only", None):
-        cli_values["compare"] = False
     try:
         file_values = _load_config_file(args.config)
         cfg = _config_from_sources(_CONFIG_CLASSES[command], file_values, cli_values)

@@ -510,18 +510,21 @@ def loglog_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     return float(coeffs[0]), 1.0 - ss_res / ss_tot
 
 
+# relative difference treated as exact agreement, with no logarithm to fit
+_EXACT_FLOOR = 1e-12
+
+
 def hbar_convergence_study(
     model_family: Callable[[float], ModelOperators],
     hbar_list: Sequence[float],
     tols: Tolerances = DEFAULT_TOLERANCES,
-    exact_floor: float = 1e-12,
 ) -> SlopeReport:
     """Sweep hbar, measure |H_fw_exact - H_fw_closed_form| / |H|, fit the slope.
 
     The commutator scale enters only through the model construction; at
     least 4 values covering a wide range are required so the fitted
     exponent is meaningful.  A non-monotone difference is flagged in the
-    report rather than raised.  A difference at or below ``exact_floor``
+    report rather than raised.  A difference at or below ``_EXACT_FLOOR``
     has no logarithm to fit: if every one is, the report says exact
     agreement; if only some are, slope and R^2 are None.
     """
@@ -549,7 +552,7 @@ def hbar_convergence_study(
         odd_rel.append(fw.odd_residual_norm / scale)
         drifts.append(fw.spectrum_drift)
         gaps.append(fw.spectral_gap)
-    floor_hbar = tuple(hb for hb, d in zip(hbars, diffs) if d <= exact_floor)
+    floor_hbar = tuple(hb for hb, d in zip(hbars, diffs) if d <= _EXACT_FLOOR)
     exact = len(floor_hbar) == len(hbars)
     non_monotone = any(diffs[i + 1] < diffs[i] for i in range(len(diffs) - 1))
     slope, r_squared = (None, None) if floor_hbar else loglog_fit(hbars, diffs)

@@ -103,7 +103,6 @@ class LatticeDiracSpec:
     mass: float
     hbar: float
     potential: tuple[float, ...]
-    smoothness_cap: float = 0.5
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "potential", tuple(float(v) for v in self.potential))
@@ -115,7 +114,7 @@ class LatticeDiracSpec:
             raise ValueError("box_length, mass and hbar must be positive")
         v = np.asarray(self.potential)
         second = np.abs(np.roll(v, -1) - 2 * v + np.roll(v, 1))
-        cap = self.smoothness_cap * max(1.0, float(np.max(np.abs(v))))
+        cap = 0.5 * max(1.0, float(np.max(np.abs(v))))
         if float(np.max(second)) > cap:
             raise ValueError(
                 f"potential is not smooth: max second difference {np.max(second):.3e} > {cap:.3e}"
@@ -134,13 +133,13 @@ def cosine_potential(
 
 
 def random_smooth_potential(
-    n_sites: int, amplitude: float, seed: int, cutoff: int = 3
+    n_sites: int, amplitude: float, seed: int
 ) -> tuple[float, ...]:
-    """Low-pass filtered random potential, deterministic in the seed."""
+    """Low-pass filtered random potential on harmonics 1 to 3, deterministic in the seed."""
     rng = np.random.default_rng(seed)
     x = np.arange(n_sites) / n_sites
     v = np.zeros(n_sites)
-    for k in range(1, cutoff + 1):
+    for k in (1, 2, 3):
         a, b = rng.normal(size=2)
         v += (a * np.cos(2 * math.pi * k * x) + b * np.sin(2 * math.pi * k * x)) / k
     peak = float(np.max(np.abs(v))) or 1.0

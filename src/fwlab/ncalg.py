@@ -15,6 +15,12 @@ v/c, E/m second order).  Powers of the central ``m`` carry no weight of
 their own; physical expressions keep their m powers balanced so the
 weight of a term equals its v/c order.
 
+``from_word`` is the one constructor from symbols: ``from_word("")`` is
+1, ``from_word("", coeff=c)`` the scalar c, and ``from_word("E")``,
+``from_word("O")`` and ``from_word("B")`` are the atoms and beta.
+Polynomials combine with ``+``, ``-``, rational ``*`` and the
+weight-truncated ``mul``.
+
 All values are immutable after construction and all operations are pure
 functions; coefficients are ``fractions.Fraction`` throughout, never
 floats.
@@ -22,21 +28,15 @@ floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "Word",
     "NCPoly",
-    "one",
-    "scalar",
-    "e_atom",
-    "o_atom",
-    "beta_atom",
     "from_word",
     "mul",
     "commutator",
@@ -58,8 +58,7 @@ def _o_count(letters: str) -> int:
     return letters.count("O")
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(NamedTuple):
     """Normal-form word ``beta^beta * letters * m^m_power``.
 
     Construction does not validate: words are checked where they enter
@@ -80,9 +79,6 @@ class Word:
         """1 when the word anticommutes with beta, 0 when it commutes."""
         return _o_count(self.letters) & 1
 
-    def sort_key(self) -> tuple[int, str, int]:
-        return (self.beta, self.letters, self.m_power)
-
     def __str__(self) -> str:
         """``b O^4 E^2 m^-5``: beta, each run of a letter as a power, the mass power."""
         pieces = ["b"] if self.beta else []
@@ -99,9 +95,6 @@ def _check_word(word: Word) -> None:
         raise ValueError(f"beta exponent must be 0 or 1, got {word.beta}")
     if any(c not in _ATOM_WEIGHT for c in word.letters):
         raise ValueError(f"letters must be over E/O, got {word.letters!r}")
-
-
-_IDENTITY_WORD = Word(0, "", 0)
 
 
 class NCPoly:
@@ -130,15 +123,12 @@ class NCPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     def words(self) -> list[Word]:
-        return sorted(self._terms, key=Word.sort_key)
+        return sorted(self._terms)
 
     # -- ring structure ------------------------------------------------
 
@@ -167,16 +157,13 @@ class NCPoly:
     def __neg__(self) -> "NCPoly":
         return _wrap({w: -c for w, c in self._terms.items()})
 
-    def scale(self, factor: Fraction | int) -> "NCPoly":
+    def __mul__(self, factor: Fraction | int) -> "NCPoly":
+        if not isinstance(factor, (int, Fraction)):
+            return NotImplemented
         f = Fraction(factor)
         if not f:
             return NCPoly()
         return _wrap({w: c * f for w, c in self._terms.items()})
-
-    def __mul__(self, factor: Fraction | int) -> "NCPoly":
-        if isinstance(factor, (int, Fraction)):
-            return self.scale(factor)
-        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -234,28 +221,7 @@ def _wrap(terms: dict[Word, Fraction]) -> NCPoly:
     return p
 
 
-# -- constructors ---------------------------------------------------------
-
-
-def one() -> NCPoly:
-    return _wrap({_IDENTITY_WORD: Fraction(1)})
-
-
-def scalar(value: Fraction | int) -> NCPoly:
-    v = Fraction(value)
-    return _wrap({_IDENTITY_WORD: v}) if v else NCPoly()
-
-
-def e_atom() -> NCPoly:
-    return _wrap({Word(0, "E", 0): Fraction(1)})
-
-
-def o_atom() -> NCPoly:
-    return _wrap({Word(0, "O", 0): Fraction(1)})
-
-
-def beta_atom() -> NCPoly:
-    return _wrap({Word(1, "", 0): Fraction(1)})
+# -- constructor ----------------------------------------------------------
 
 
 def from_word(symbols: str, m_power: int = 0, coeff: Fraction | int = 1) -> NCPoly:

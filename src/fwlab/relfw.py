@@ -220,8 +220,9 @@ def relativistic_even_form(order_max: int = 8) -> GradedEvenForm:
 
     and the beta*[O,[O,M]] kernel vanishes identically.
     """
-    root = fseries.sqrt_series(fseries.one_plus_u(order_max))
-    denom = fseries.constant(1, order_max) + fseries.variable(order_max) + root
+    one_plus_t = fseries.series([1, 1], order_max)
+    root = fseries.sqrt_series(one_plus_t)
+    denom = one_plus_t + root
     g = fseries.inverse(denom) * Fraction(-1, 8)
     return GradedEvenForm(f=root, e_term=True, g=g)
 
@@ -292,43 +293,26 @@ class AuditClaim:
     note: str
 
 
-def _eps_pattern():
-    return PFunc("sqrt", PSum((PPow(ATOM_M, 2), PPow(ATOM_O, 2))))
-
-
-def _odd_residual_main_kernel():
-    # { 1/sqrt(1+X^2), [X, F] }
-    return PAcomm(PFunc("inv_sqrt_one_plus", PPow(ATOM_X, 2)), PComm(ATOM_X, ATOM_F))
-
-
-def _odd_residual_second_kernel():
-    # { X / (sqrt(1+X^2)(1+sqrt(1+X^2))), [sqrt(1+X^2), F] }
-    weight = PProd((ATOM_X, PFunc("inv_norm", PPow(ATOM_X, 2))))
-    return PAcomm(weight, PComm(PFunc("sqrt_one_plus", PPow(ATOM_X, 2)), ATOM_F))
-
-
-def _second_generator():
-    # S' ~ { 1/eps, O'_main }
-    return PAcomm(PFunc("inverse", _eps_pattern()), _odd_residual_main_kernel())
-
-
-def _generator_commutator():
-    # [S, S'] ~ beta { arctan X, S' }
-    return PProd(
-        (ATOM_BETA, PAcomm(PFunc("arctan", ATOM_X, odd=True), _second_generator()))
-    )
-
-
-def _transformed_even_hamiltonian():
-    kernel = PAcomm(
-        PFunc("inverse", _eps_pattern()),
-        PComm(ATOM_O, PComm(ATOM_O, ATOM_F)),
-    )
-    return PSum((PProd((ATOM_BETA, _eps_pattern())), ATOM_F, kernel))
-
-
-def _leading_correction():
-    return PComm(_generator_commutator(), _transformed_even_hamiltonian())
+_EPS_PATTERN = PFunc("sqrt", PSum((PPow(ATOM_M, 2), PPow(ATOM_O, 2))))
+_X2 = PPow(ATOM_X, 2)
+# { 1/sqrt(1+X^2), [X, F] }
+_ODD_RESIDUAL_MAIN_KERNEL = PAcomm(PFunc("inv_sqrt_one_plus", _X2), PComm(ATOM_X, ATOM_F))
+# { X / (sqrt(1+X^2)(1+sqrt(1+X^2))), [sqrt(1+X^2), F] }
+_ODD_RESIDUAL_SECOND_KERNEL = PAcomm(
+    PProd((ATOM_X, PFunc("inv_norm", _X2))), PComm(PFunc("sqrt_one_plus", _X2), ATOM_F)
+)
+# S' ~ { 1/eps, O'_main }
+_SECOND_GENERATOR = PAcomm(PFunc("inverse", _EPS_PATTERN), _ODD_RESIDUAL_MAIN_KERNEL)
+# [S, S'] ~ beta { arctan X, S' }
+_GENERATOR_COMMUTATOR = PProd(
+    (ATOM_BETA, PAcomm(PFunc("arctan", ATOM_X, odd=True), _SECOND_GENERATOR))
+)
+_TRANSFORMED_EVEN_HAMILTONIAN = PSum((
+    PProd((ATOM_BETA, _EPS_PATTERN)),
+    ATOM_F,
+    PAcomm(PFunc("inverse", _EPS_PATTERN), PComm(ATOM_O, PComm(ATOM_O, ATOM_F))),
+))
+_LEADING_CORRECTION = PComm(_GENERATOR_COMMUTATOR, _TRANSFORMED_EVEN_HAMILTONIAN)
 
 
 def bch_audit() -> tuple[AuditClaim, ...]:
@@ -343,10 +327,10 @@ def bch_audit() -> tuple[AuditClaim, ...]:
     excluded from the even-form equality claim.
     """
     rows = [
-        ("odd_residual_main_kernel", _odd_residual_main_kernel(), "removed by the second transformation"),
-        ("odd_residual_second_kernel", _odd_residual_second_kernel(), "neglected approximation piece; excluded from the even-form equality"),
-        ("second_generator", _second_generator(), "generator of the second transformation"),
-        ("generator_commutator", _generator_commutator(), "deviation of the composed exponentials from a single one"),
-        ("leading_correction", _leading_correction(), "induced correction to the even Hamiltonian; safely dropped"),
+        ("odd_residual_main_kernel", _ODD_RESIDUAL_MAIN_KERNEL, "removed by the second transformation"),
+        ("odd_residual_second_kernel", _ODD_RESIDUAL_SECOND_KERNEL, "neglected approximation piece; excluded from the even-form equality"),
+        ("second_generator", _SECOND_GENERATOR, "generator of the second transformation"),
+        ("generator_commutator", _GENERATOR_COMMUTATOR, "deviation of the composed exponentials from a single one"),
+        ("leading_correction", _LEADING_CORRECTION, "induced correction to the even Hamiltonian; safely dropped"),
     ]
     return tuple(AuditClaim(name, grade_audit(expr), note) for name, expr, note in rows)

@@ -2,12 +2,15 @@
 
 A stale ``__all__`` entry breaks only ``from fwlab.<module> import *``,
 which nothing else in the suite does.  A public name whose only caller
-is its own test is dead weight in the package.
+is its own test is dead weight in the package; that holds for the
+public methods and properties of exported classes as well.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -17,8 +20,13 @@ import fwlab
 MODULES = ["fwlab"] + [f"fwlab.{m.name}" for m in pkgutil.iter_modules(fwlab.__path__)]
 ROOT = Path(__file__).resolve().parent.parent
 
-# the reader the golden-file tests load committed series with
-TEST_ONLY_EXPORTS = {"fwlab.ncalg.poly_from_json_obj"}
+TEST_ONLY_EXPORTS = {
+    # the reader the golden-file tests load committed series with
+    "fwlab.ncalg.poly_from_json_obj",
+    # the involution and grading primitives the property and acceptance suites use
+    "fwlab.ncalg.NCPoly.adjoint",
+    "fwlab.ncalg.NCPoly.even_part",
+}
 
 
 def test_every_module_is_covered():
@@ -55,13 +63,33 @@ def _names_read(directory: Path, with_strings: bool = False) -> set[str]:
     return names
 
 
+def _public_members(name: str) -> list[str]:
+    """Exports of a module, each followed by the public methods and
+    properties its classes define; fields (dataclass defaults, NamedTuple
+    getters) are neither, so they are left out."""
+    module = importlib.import_module(name)
+    members = []
+    for export in getattr(module, "__all__", []):
+        members.append(export)
+        cls = getattr(module, export)
+        if not inspect.isclass(cls) or cls.__module__ != name:
+            continue
+        members += [
+            f"{export}.{attr}"
+            for attr, value in vars(cls).items()
+            if not attr.startswith("_")
+            and (inspect.isfunction(value) or isinstance(value, (property, cached_property)))
+        ]
+    return members
+
+
 def test_every_export_has_a_caller_besides_its_tests():
     # perfbench binds traced functions by their names as strings
     read = _names_read(ROOT / "src" / "fwlab") | _names_read(ROOT / "perfbench", with_strings=True)
     unused = [
-        f"{name}.{export}"
+        f"{name}.{member}"
         for name in MODULES
-        for export in getattr(importlib.import_module(name), "__all__", [])
-        if export not in read
+        for member in _public_members(name)
+        if member.rpartition(".")[2] not in read
     ]
     assert sorted(unused) == sorted(TEST_ONLY_EXPORTS)

@@ -14,17 +14,13 @@ from fwlab.eriksen import (
     reference_terms,
 )
 from fwlab.ncalg import (
+    Word,
     anticommutator,
-    beta_atom,
     commutator,
-    e_atom,
     from_word,
     mul,
-    o_atom,
-    one,
     poly_from_json_obj,
     poly_to_json_obj,
-    scalar,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "devries_jonker_w8.json"
@@ -59,27 +55,27 @@ def test_sign_operator_weight_two():
 def test_sign_operator_squares_to_one():
     for w in (2, 4, 6):
         lam = EriksenPipeline(w).sign_operator
-        assert mul(lam, lam, w) == one()
+        assert mul(lam, lam, w) == from_word("")
 
 
 def test_unitary_weight_two_matches_exponential():
     # independent oracle: exp(beta O / 2m) truncated at weight 2
     x = from_word("BO", m_power=-1, coeff=F(1, 2))
-    oracle = one() + x + mul(x, x, 2) * F(1, 2)
+    oracle = from_word("") + x + mul(x, x, 2) * F(1, 2)
     assert EriksenPipeline(2).unitary == oracle
 
 
 def test_eriksen_condition_and_unitarity():
-    p = EriksenPipeline(6)
-    assert p.eriksen_condition_residual().is_zero
-    assert p.unitarity_residual().is_zero
+    u, beta = EriksenPipeline(6).unitary, from_word("B")
+    assert mul(beta, u, 6) == mul(u.adjoint(), beta, 6)  # beta U = U^dagger beta
+    assert mul(u, u.beta_conjugate(), 6) == from_word("")  # U (beta U beta) = 1
 
 
 def test_fw_weight_two():
     expect = (
         from_word("B", m_power=1)
         + from_word("BOO", m_power=-1, coeff=F(1, 2))
-        + e_atom()
+        + from_word("E")
     )
     assert fw_hamiltonian_series(2) == expect
 
@@ -88,7 +84,7 @@ def test_fw_weight_four_frozen_words():
     fw = fw_hamiltonian_series(4)
     expect = (
         from_word("B", m_power=1)
-        + e_atom()
+        + from_word("E")
         + from_word("BOO", m_power=-1, coeff=F(1, 2))
         + from_word("BOOOO", m_power=-3, coeff=F(-1, 8))
         + from_word("OOE", m_power=-2, coeff=F(-1, 8))
@@ -107,15 +103,13 @@ def test_reference_low_weights():
     ref2 = reference_devries_jonker(2)
     expect = (
         from_word("B", m_power=1)
-        + e_atom()
+        + from_word("E")
         + from_word("BOO", m_power=-1, coeff=F(1, 2))
     )
     assert ref2 == expect
 
 
 def test_reference_mass_tail_coefficient():
-    from fwlab.ncalg import Word
-
     ref = reference_devries_jonker(8)
     assert ref.coeff(Word(1, "OOOOOOOO", -7)) == F(-5, 128)
 
@@ -129,9 +123,9 @@ def test_compare_detects_a24_perturbation_pattern():
     ref = reference_devries_jonker(8)
     bad = reference_devries_jonker(8, {"acomm_o2_oe_sq": F(23)})
     delta = ref - bad
-    oe = commutator(o_atom(), e_atom(), 8)
+    oe = commutator(from_word("O"), from_word("E"), 8)
     pattern = (
-        mul(beta_atom(), anticommutator(from_word("OO"), mul(oe, oe, 8), 8), 8)
+        mul(from_word("B"), anticommutator(from_word("OO"), mul(oe, oe, 8), 8), 8)
         .times_m(-5)
         * F(1, 256)
     )
@@ -213,9 +207,9 @@ def test_golden_reference_file():
 
 def _horner_to_full_order(coeffs, x, weight_max):
     """Reference: Horner through every coefficient, whatever survives truncation."""
-    acc = scalar(coeffs[-1])
+    acc = from_word("", coeff=coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = mul(acc, x, weight_max) + scalar(c)
+        acc = mul(acc, x, weight_max) + from_word("", coeff=c)
     return acc
 
 
@@ -226,7 +220,7 @@ def test_series_apply_order_is_exact(w):
     p = EriksenPipeline(w)
     full = _inv_sqrt_coeffs(w)
     short = full[: w // 2 + 1]
-    for x in (p.k, p.denominator - scalar(4)):
+    for x in (p.k, p.denominator - from_word("", coeff=4)):
         if w >= 2:
             assert min(word.weight for word, _ in x.items()) == 2
         expect = _horner_to_full_order(full, x, w)
@@ -238,7 +232,7 @@ def test_series_apply_rejects_weight_zero_argument():
     from fwlab.eriksen import _inv_sqrt_coeffs, _series_apply
 
     with pytest.raises(ValueError):
-        _series_apply(_inv_sqrt_coeffs(4), from_word("BOO", m_power=-2) + scalar(1), 4)
+        _series_apply(_inv_sqrt_coeffs(4), from_word("BOO", m_power=-2) + from_word(""), 4)
 
 
 # -- weight 12 -------------------------------------------------------------------
@@ -260,8 +254,15 @@ def test_fw_weight_twelve_even_and_adjoint_symmetric(pipeline12):
 
 
 def test_weight_twelve_residuals_vanish(pipeline12):
-    assert pipeline12.eriksen_condition_residual().is_zero
-    assert pipeline12.unitarity_residual().is_zero
+    u, beta = pipeline12.unitary, from_word("B")
+    assert mul(beta, u, 12) == mul(u.adjoint(), beta, 12)
+    assert mul(u, u.beta_conjugate(), 12) == from_word("")
+
+
+def test_words_sort_by_their_fields(pipeline12):
+    fw = pipeline12.fw_hamiltonian
+    json_order = [Word(e["beta"], e["word"], e["m_power"]) for e in poly_to_json_obj(fw)]
+    assert sorted(w for w, _ in fw.items()) == json_order
 
 
 def test_fw_weight_twelve_matches_pinned_hash(pipeline12):

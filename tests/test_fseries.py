@@ -9,13 +9,10 @@ from fwlab.fseries import (
     NonSquareConstantTerm,
     RatSeries,
     ZeroConstantTerm,
-    constant,
     inv_sqrt_series,
     inverse,
-    one_plus_u,
     series,
     sqrt_series,
-    variable,
 )
 
 rat = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=6)
@@ -35,17 +32,17 @@ def unit_series(draw, max_order=6):
 
 
 def test_sqrt_one_plus_u():
-    got = sqrt_series(one_plus_u(4))
+    got = sqrt_series(series([1, 1], 4))
     assert got == series([1, F(1, 2), F(-1, 8), F(1, 16), F(-5, 128)])
 
 
 def test_inverse_geometric():
-    assert inverse(one_plus_u(2)) == series([1, -1, 1])
+    assert inverse(series([1, 1], 2)) == series([1, -1, 1])
 
 
 def test_kernel_series_frozen():
     # 1/(8(1 + u + sqrt(1+u))) = (1/16)(1 - 3u/4 + 5u**2/8 - 35u**3/64 + ...)
-    s = constant(1, 3) + variable(3) + sqrt_series(one_plus_u(3))
+    s = series([1, 1], 3) + sqrt_series(series([1, 1], 3))
     got = inverse(s) * F(1, 8)
     assert got == series([F(1, 16), F(-3, 64), F(5, 128), F(-35, 1024)])
 
@@ -60,17 +57,17 @@ def test_compose_arctan_tan_is_identity():
         tuple(F((-1) ** (k // 2), factorial(k)) if k % 2 == 0 else F(0) for k in range(order + 1))
     )
     tan = sin * inverse(cos)
-    acc = constant(0, order)
+    acc = series([0], order)
     for k in range(order, -1, -1):  # Horner; arctan has the coefficients (-1)^j / (2j + 1)
-        acc = acc * tan + constant(F((-1) ** (k // 2), k) if k % 2 else 0, order)
-    assert acc == variable(order)
+        acc = acc * tan + series([F((-1) ** (k // 2), k) if k % 2 else 0], order)
+    assert acc == series([0, 1], order)
 
 
 def test_inverse_zero_constant_term():
     with pytest.raises(ZeroConstantTerm):
-        inverse(variable(3))
+        inverse(series([0, 1], 3))
     with pytest.raises(ZeroConstantTerm):
-        inv_sqrt_series(variable(3))
+        inv_sqrt_series(series([0, 1], 3))
 
 
 def test_sqrt_non_square_constant():
@@ -102,14 +99,14 @@ def test_sqrt_squares_back(s):
 @given(unit_series())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_inverse_multiplies_to_one(s):
-    assert s * inverse(s) == constant(1, s.order_max)
+    assert s * inverse(s) == series([1], s.order_max)
 
 
 @given(unit_series())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_inv_sqrt_defining_identity(s):
     b = inv_sqrt_series(s)
-    assert b * b * s == constant(1, s.order_max)
+    assert b * b * s == series([1], s.order_max)
 
 
 @given(rat_series())

@@ -10,16 +10,11 @@ from fwlab.ncalg import (
     NCPoly,
     Word,
     anticommutator,
-    beta_atom,
     commutator,
-    e_atom,
     from_word,
     mul,
-    o_atom,
-    one,
     poly_from_json_obj,
     poly_to_json_obj,
-    scalar,
 )
 
 W = 8
@@ -32,7 +27,7 @@ def test_beta_push_single():
 
 def test_beta_sandwich_even_atom():
     # beta*E*beta -> E
-    assert from_word("BEB") == e_atom()
+    assert from_word("BEB") == from_word("E")
 
 
 def test_beta_sandwich_cancels_square():
@@ -47,8 +42,8 @@ def test_mul_beta_odd_square():
 
 def test_mul_identity_truncates():
     p = from_word("EO", m_power=-1) + from_word("O", coeff=F(1, 3))
-    assert mul(one(), p, 2) == p.weight_truncate(2)
-    assert mul(one(), p, W) == p
+    assert mul(from_word(""), p, 2) == p.weight_truncate(2)
+    assert mul(from_word(""), p, W) == p
 
 
 def test_mul_drops_overweight():
@@ -59,24 +54,24 @@ def test_mul_drops_overweight():
 
 
 def test_commutator_self_is_zero():
-    assert commutator(e_atom(), e_atom(), W).is_zero
+    assert commutator(from_word("E"), from_word("E"), W).is_zero
 
 
 def test_anticommutator_beta_betao():
-    assert anticommutator(beta_atom(), from_word("BO"), W).is_zero
+    assert anticommutator(from_word("B"), from_word("BO"), W).is_zero
 
 
 def test_commutator_free_atoms_do_not_reduce():
     o2 = from_word("OO")
-    got = commutator(o2, e_atom(), W)
+    got = commutator(o2, from_word("E"), W)
     assert got == from_word("OOE") - from_word("EOO")
 
 
 def test_even_odd_split_dirac():
-    h = from_word("B", m_power=1) + e_atom() + o_atom()
+    h = from_word("B", m_power=1) + from_word("E") + from_word("O")
     even, odd = h.even_part(), h.odd_part()
-    assert even == from_word("B", m_power=1) + e_atom()
-    assert odd == o_atom()
+    assert even == from_word("B", m_power=1) + from_word("E")
+    assert odd == from_word("O")
 
 
 def test_even_odd_split_beta_oe():
@@ -93,8 +88,8 @@ def test_even_odd_split_zero():
 
 def test_identity_part():
     # the letter-free words (scalars and beta times scalars) are the weight-0 part
-    p = from_word("B", m_power=1) + e_atom() + scalar(3)
-    assert p.weight_truncate(0) == from_word("B", m_power=1) + scalar(3)
+    p = from_word("B", m_power=1) + from_word("E") + from_word("", coeff=3)
+    assert p.weight_truncate(0) == from_word("B", m_power=1) + from_word("", coeff=3)
 
 
 def test_weight_examples():
@@ -206,7 +201,7 @@ def test_json_roundtrip(p):
 
 
 def test_json_form_is_sorted_and_stringly():
-    p = from_word("OO", m_power=-2, coeff=F(-1, 2)) + e_atom() + beta_atom()
+    p = from_word("OO", m_power=-2, coeff=F(-1, 2)) + from_word("E") + from_word("B")
     obj = poly_to_json_obj(p)
     assert [entry["coeff"] for entry in obj] == ["1/1", "-1/2", "1/1"]
     keys = [(entry["beta"], entry["word"], entry["m_power"]) for entry in obj]
@@ -215,12 +210,12 @@ def test_json_form_is_sorted_and_stringly():
 
 def test_mul_rejects_negative_weight():
     with pytest.raises(ValueError):
-        mul(one(), one(), -1)
+        mul(from_word(""), from_word(""), -1)
 
 
 def test_m_scalar_is_central():
     p = from_word("BOE", coeff=F(2, 3))
-    m2 = one().times_m(2)
+    m2 = from_word("").times_m(2)
     assert mul(m2, p, W) == mul(p, m2, W)
 
 
