@@ -22,8 +22,12 @@ Polynomials combine with ``+``, ``-``, rational ``*`` and the
 weight-truncated ``mul``.
 
 All values are immutable after construction and all operations are pure
-functions; coefficients are ``fractions.Fraction`` throughout, never
-floats.
+functions.  Public coefficients are ``fractions.Fraction`` throughout,
+never floats: ``NCPoly(...)``, ``from_word`` and rational ``*`` accept
+only ``int`` or ``Fraction``.  Inside ``mul`` each operand is put over
+the lcm of its own denominators, products accumulate integer numerators
+over the operands' common denominator, and one ``Fraction`` is built per
+output word.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
+from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -107,7 +112,7 @@ class NCPoly:
         if terms:
             for word, coeff in terms.items():
                 _check_word(word)
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                c = _rational(coeff)
                 if c:
                     clean[word] = c
         self._terms = clean
@@ -215,6 +220,13 @@ class NCPoly:
         return f"NCPoly({self.pretty()})"
 
 
+def _rational(coeff: Fraction | int) -> Fraction:
+    """``coeff`` as a ``Fraction``; anything but an ``int`` or ``Fraction`` raises ``TypeError``."""
+    if not isinstance(coeff, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, got {type(coeff).__name__}")
+    return Fraction(coeff)
+
+
 def _wrap(terms: dict[Word, Fraction]) -> NCPoly:
     p = NCPoly.__new__(NCPoly)
     p._terms = terms
@@ -247,7 +259,7 @@ def from_word(symbols: str, m_power: int = 0, coeff: Fraction | int = 1) -> NCPo
                 o_seen += 1
         else:
             raise ValueError(f"unknown symbol {ch!r} (expected B, E or O)")
-    c = Fraction(coeff) * sign
+    c = _rational(coeff) * sign
     if not c:
         return NCPoly()
     return _wrap({Word(beta, "".join(letters), m_power): c})
@@ -256,36 +268,43 @@ def from_word(symbols: str, m_power: int = 0, coeff: Fraction | int = 1) -> NCPo
 # -- module-level operations ------------------------------------------------
 
 
+def _over_lcm(p: NCPoly) -> tuple[int, list[tuple[Word, int]]]:
+    """``(d, [(word, c*d)])``: p's terms as integer numerators over the lcm d of its denominators."""
+    d = lcm(*(c.denominator for _, c in p.items()))
+    return d, [(w, c.numerator * (d // c.denominator)) for w, c in p.items()]
+
+
 def mul(a: NCPoly, b: NCPoly, weight_max: int) -> NCPoly:
-    """Normalized product with all terms of weight > weight_max dropped."""
+    """Normalized product with all terms of weight > weight_max dropped.
+
+    Each operand is put over the lcm of its own denominators once, the
+    pair products accumulate as integer numerators over the common
+    denominator ``da*db``, and one ``Fraction`` is built per surviving
+    word; words whose numerators cancel to 0 are dropped.
+    """
     if weight_max < 0:
         raise ValueError("weight_max must be >= 0")
-    acc: dict[Word, Fraction] = {}
+    da, a_terms = _over_lcm(a)
+    db, b_terms = _over_lcm(b)
+    acc: dict[Word, int] = {}
     # lightest first, so each row stops at the first b term over budget
-    b_items = sorted(((wb.weight, wb, cb) for wb, cb in b.items()), key=itemgetter(0))
-    for wa, ca in a.items():
+    b_items = sorted(((wb.weight, wb, nb) for wb, nb in b_terms), key=itemgetter(0))
+    for wa, na in a_terms:
         budget = weight_max - wa.weight
         if budget < 0:
             continue
         a_flip = _o_count(wa.letters) & 1
-        for weight_b, wb, cb in b_items:
+        for weight_b, wb, nb in b_items:
             if weight_b > budget:
                 break
             # move wb's beta through wa's letters: one sign per O crossed
-            c = ca * cb
+            n = na * nb
             if wb.beta and a_flip:
-                c = -c
+                n = -n
             word = Word(wa.beta ^ wb.beta, wa.letters + wb.letters, wa.m_power + wb.m_power)
-            prev = acc.get(word)
-            if prev is None:
-                acc[word] = c
-            else:
-                s = prev + c
-                if s:
-                    acc[word] = s
-                else:
-                    del acc[word]
-    return _wrap(acc)
+            acc[word] = acc.get(word, 0) + n
+    d = da * db
+    return _wrap({w: Fraction(n, d) for w, n in acc.items() if n})
 
 
 def commutator(a: NCPoly, b: NCPoly, weight_max: int) -> NCPoly:

@@ -240,6 +240,18 @@ def test_series_apply_rejects_weight_zero_argument():
 # Pinned from the unpruned kernel; the benchmark pins the same value.
 W12_SHA256 = "21427d3984ea13fadee30121e0f319ee0d7d4e24d2de754efe92cfc25613cc9b"
 W12_STAGE_TERMS = (6, 5, 603, 371, 603, 352)
+# Pinned from the kernel that multiplied Fractions pair by pair.
+W14_SHA256 = "e8c0a47b95abff4a6a918cf78ff56707cc93efdedb2263f7d97cffcf33787fb0"
+W14_STAGE_TERMS = (6, 5, 1589, 980, 1589, 946)
+STAGES = ("h_squared", "k", "sign_operator", "denominator", "unitary", "fw_hamiltonian")
+
+
+def _fw_sha256(pipeline):
+    lines = sorted(
+        f"{w.beta} {w.letters} {w.m_power} {c.numerator}/{c.denominator}"
+        for w, c in pipeline.fw_hamiltonian.items()
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -266,13 +278,15 @@ def test_words_sort_by_their_fields(pipeline12):
 
 
 def test_fw_weight_twelve_matches_pinned_hash(pipeline12):
-    stages = ("h_squared", "k", "sign_operator", "denominator", "unitary", "fw_hamiltonian")
-    assert tuple(len(getattr(pipeline12, s)) for s in stages) == W12_STAGE_TERMS
-    lines = sorted(
-        f"{w.beta} {w.letters} {w.m_power} {c.numerator}/{c.denominator}"
-        for w, c in pipeline12.fw_hamiltonian.items()
-    )
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == W12_SHA256
+    assert tuple(len(getattr(pipeline12, s)) for s in STAGES) == W12_STAGE_TERMS
+    assert _fw_sha256(pipeline12) == W12_SHA256
+
+
+def test_fw_weight_fourteen_matches_pinned_hash(pipeline12):
+    pipeline14 = EriksenPipeline(14)
+    assert tuple(len(getattr(pipeline14, s)) for s in STAGES) == W14_STAGE_TERMS
+    assert _fw_sha256(pipeline14) == W14_SHA256
+    assert pipeline14.fw_hamiltonian.weight_truncate(12) == pipeline12.fw_hamiltonian
 
 
 def test_weight_levels_consistent_with_weight_twelve(pipeline12):

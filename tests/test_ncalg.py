@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -258,6 +259,75 @@ def test_mul_matches_unpruned_product(a, b):
         assert mul(b, a, w) == _naive_mul(b, a, w)
 
 
+# -- integer numerators over coprime denominators -------------------------------------
+
+# Pairwise coprime: primes near 10**6, a Mersenne prime and powers of 2, so the
+# lcm of an operand's denominators is large and a missing factor shows.
+_COPRIME_DENOMINATORS = (999_983, 1_000_003, 2**61 - 1, 2**17, 2**40)
+
+big_coeffs = st.builds(
+    F, st.integers(-(10**6), 10**6).filter(bool), st.sampled_from(_COPRIME_DENOMINATORS)
+)
+
+
+@st.composite
+def big_denominator_polys(draw, max_terms=6):
+    ws = draw(st.lists(words, max_size=max_terms, unique=True))
+    return NCPoly({w: draw(big_coeffs) for w in ws})
+
+
+def _assert_lowest_terms(p):
+    for _, c in p.items():
+        assert type(c) is F and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+@given(big_denominator_polys(), big_denominator_polys())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mul_is_exact_over_coprime_denominators(a, b):
+    for w in range(0, 11):
+        for x, y in ((a, b), (b, a)):
+            got = mul(x, y, w)
+            assert got == _naive_mul(x, y, w)
+            _assert_lowest_terms(got)
+
+
+_P, _Q, _D = 999_983, 2**61 - 1, 2**40
+
+
+@pytest.mark.parametrize(
+    "a, b, gone",
+    [
+        # E*O and EO*1 both give EO, with opposite coefficients
+        (
+            from_word("E", coeff=F(1, _P)) + from_word("EO", coeff=F(-1, _Q)),
+            from_word("O", coeff=F(3, _D)) + from_word("", coeff=F(3 * _Q, _P * _D)),
+            Word(0, "EO", 0),
+        ),
+        # O*B = -BO cancels BO*1 through the beta sign
+        (
+            from_word("O", coeff=F(1, _P)) + from_word("BO", coeff=F(1, _Q)),
+            from_word("B", coeff=F(1, _D)) + from_word("", coeff=F(_Q, _P * _D)),
+            Word(1, "O", 0),
+        ),
+    ],
+    ids=["letters", "beta_sign"],
+)
+def test_mul_drops_words_that_cancel_exactly(a, b, gone):
+    got = mul(a, b, W)
+    assert gone not in dict(got.items()) and not got.is_zero
+    assert got == _naive_mul(a, b, W)
+    _assert_lowest_terms(got)
+
+
+def test_mul_with_empty_operand_is_empty():
+    p = from_word("BEO", m_power=-1, coeff=F(5, _Q)) + from_word("", coeff=F(1, _D))
+    for w in range(0, 5):
+        assert mul(NCPoly(), p, w).is_zero
+        assert mul(p, NCPoly(), w).is_zero
+        assert mul(NCPoly(), NCPoly(), w).is_zero
+
+
 # -- validation at the boundaries ------------------------------------------------------
 
 
@@ -277,3 +347,13 @@ def test_json_load_rejects_invalid_words(entry):
 def test_constructor_rejects_invalid_words(word):
     with pytest.raises(ValueError):
         NCPoly({word: 1})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: from_word("E", coeff=0.1), lambda: NCPoly({Word(0, "E", 0): 0.5})],
+    ids=["from_word", "NCPoly"],
+)
+def test_float_coefficients_are_rejected(build):
+    with pytest.raises(TypeError):
+        build()
