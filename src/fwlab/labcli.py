@@ -275,9 +275,7 @@ def cmd_numeric_fw(cfg: NumericFwConfig, out_dir: str | None) -> int:
     report = _report_header(cfg)
 
     slope_report = hbar_convergence_study(
-        lambda hbar: build_lattice_dirac(_lattice_spec(cfg, hbar), tols),
-        cfg.hbar_list,
-        tols,
+        lambda hbar: build_lattice_dirac(_lattice_spec(cfg, hbar), tols), cfg.hbar_list
     )
     report["exact_transform"] = [
         {"hbar": hbar, "odd_residual_rel": odd, "spectrum_drift": drift, "spectral_gap": gap}

@@ -42,6 +42,10 @@ singularity check and both solves are evaluated block by block.
 ``BlockOperator.sectors`` splits an operator that is exactly
 block-diagonal in a labelling of its basis into validated sub-operators,
 so a model with a conserved label is transformed one sector at a time.
+A block carries the ``Tolerances`` it was validated with (sectors
+inherit them), and the transform and the convergence study gate with
+those: an operator is never checked with one set and transformed with
+another.
 
 The public matrix roots share one routine, an eigh of a Hermitian
 argument: every root the package takes (of D's blocks and of eps^2) has
@@ -350,18 +354,17 @@ def _blocks(p: int, n: int) -> list[tuple[slice, slice, float]]:
     return [(b, c, sign) for b, c, sign in pairs if b.start < b.stop]
 
 
-def eriksen_transform_numeric(
-    block: BlockOperator, tols: Tolerances = DEFAULT_TOLERANCES
-) -> FwNumericResult:
+def eriksen_transform_numeric(block: BlockOperator) -> FwNumericResult:
     """Exact one-step block diagonalization via the sign function.
 
     Positive and negative energy states end up supported on the +1 and
     -1 blocks of beta; spectra are preserved up to solver tolerance, and
     the inverse transform is beta U beta for both Hermiticity classes.
     Only sign(H) takes a full-size eigendecomposition; D^(-1/2) and the
-    spectrum after the transform come from the two beta blocks.
+    spectrum after the transform come from the two beta blocks.  Every
+    gate reads ``block.tols``, the tolerances the block was validated with.
     """
-    h = block.matrix
+    h, tols = block.matrix, block.tols
     n, p = block.dim, block.p
     lam, before = _sign_spectrum(block)
     if block.herm_class == HERMITIAN:  # |H| = max |eigenvalue|, unless already read
@@ -517,20 +520,23 @@ _EXACT_FLOOR = 1e-12
 def hbar_convergence_study(
     model_family: Callable[[float], ModelOperators],
     hbar_list: Sequence[float],
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> SlopeReport:
     """Sweep hbar, measure |H_fw_exact - H_fw_closed_form| / |H|, fit the slope.
 
     The commutator scale enters only through the model construction; at
-    least 4 values covering a wide range are required so the fitted
-    exponent is meaningful.  A non-monotone difference is flagged in the
-    report rather than raised.  A difference at or below ``_EXACT_FLOOR``
-    has no logarithm to fit: if every one is, the report says exact
-    agreement; if only some are, slope and R^2 are None.
+    least 4 distinct values covering a wide range are required so the
+    fitted exponent is meaningful.  The transform and the closed form
+    gate with the tolerances of each model's block.  A non-monotone
+    difference is flagged in the report rather than raised.  A difference
+    at or below ``_EXACT_FLOOR`` has no logarithm to fit: if every one
+    is, the report says exact agreement; if only some are, slope and R^2
+    are None.
     """
     hbars = sorted(float(h) for h in hbar_list)
     if len(hbars) < 4:
         raise ValueError("need at least 4 hbar values")
+    if len(set(hbars)) < len(hbars):
+        raise ValueError(f"hbar values must be distinct: got {hbars}")
     if hbars[-1] / hbars[0] < 4.0:
         raise ValueError("hbar values must span at least a factor of 4")
     diffs: list[float] = []
@@ -540,9 +546,9 @@ def hbar_convergence_study(
     gaps: list[float] = []
     for hb in hbars:
         parts = model_family(hb)
-        fw = eriksen_transform_numeric(parts.block, tols)
+        fw = eriksen_transform_numeric(parts.block)
         closed = relfw_hamiltonian_numeric(
-            parts.m_op, parts.e_op, parts.o_op, parts.block.beta, tols
+            parts.m_op, parts.e_op, parts.o_op, parts.block.beta, parts.block.tols
         )
         scale = parts.block.norm or 1.0
         # even part of H_fw minus the closed form, which is zero between the beta blocks

@@ -23,7 +23,8 @@ H is block-diagonal by the degeneracy-group label k = n - lam*sign(e):
 each group holds at most three (n, lam) states times the two rho
 components, so the spectrum is computed sector by sector (at most 6 x 6
 each) after ``BlockOperator.sectors`` has checked that no entry couples
-two groups.
+two groups.  S.pi and S x pi conserve the label too, so each level's
+beta norm and spin expectations are evaluated inside its sector.
 
 Energy levels are compared against the closed forms
 
@@ -435,16 +436,12 @@ class SpectrumReport:
         return "\n".join(lines) + "\n"
 
 
-def _symmetrized_projection(op: np.ndarray, inv_root: np.ndarray) -> np.ndarray:
-    return 0.5 * (op @ inv_root + inv_root @ op)
-
-
-def _spin1_group_labels(spec: Spin1LandauSpec) -> np.ndarray:
-    """Degeneracy group of every basis index (rho, S_z eigenvalue, Landau n)."""
+def _spin1_basis(spec: Spin1LandauSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Landau n and S_z eigenvalue of every basis index (rho, S_z, n order)."""
     n_l = spec.n_max + 1
     n = np.tile(np.arange(n_l), 6)
-    lam = np.tile(np.repeat(np.diag(SPIN1_SZ).astype(int), n_l), 2)
-    return degeneracy_group(n, lam, spec.charge)
+    s_z = np.tile(np.repeat(np.diag(SPIN1_SZ).astype(int), n_l), 2)
+    return n, s_z
 
 
 def spin1_numeric_spectrum(
@@ -459,22 +456,20 @@ def spin1_numeric_spectrum(
     groups.  The beta-pseudo-Hermitian eigenproblem of each sector
     (equivalently the Hermitian pencil (beta H, beta)) is solved by
     first applying the exact sign-function block diagonalization, whose
-    positive-energy block is honestly Hermitian, and then a Hermitian
-    eigensolver on that block.  The levels of all sectors are ranked
-    together against the closed forms.  Expectation values use the block
-    eigenvectors, embedded in the full basis, with the standard inner
-    product; a beta-metric alternative evaluated on the original
-    representation eigenvectors is reported alongside.  A level is
-    flagged "degenerate" when another level of its sector lies within
-    1e-10 E: its expectations then depend on the eigenbasis chosen, so
-    ``zero_means_max`` covers only the other levels (0.0 if none).
+    positive-energy block is Hermitian, and then a Hermitian eigensolver
+    on that block.  The levels of all sectors are ranked together against
+    the closed forms.  A level's numbers all come from its sector: its
+    expectations from the upper-block eigenvector and the sector blocks of
+    the spin projections, its beta norm and beta-metric S_z from beta U beta
+    applied to that eigenvector.  A level is flagged "degenerate" when
+    another level of its sector lies within 1e-10 E: its expectations then
+    depend on the eigenbasis chosen, so ``zero_means_max`` covers only the
+    other levels (0.0 if none).
     """
     if spec.coupling / spec.mass**2 >= 1.0:
         raise ValueError("weak-coupling sanity |e| hbar B / m^2 < 1 violated")
     parts = build_spin1_landau(spec, tols)
     kit = _spin1_kit(spec)
-    n_l = spec.n_max + 1
-    d_half = 3 * n_l
 
     # analytic rows, sorted the way the numeric spectrum will come out
     rows: list[tuple[float, int, int, int]] = []  # (E, k, n, lam)
@@ -491,44 +486,36 @@ def spin1_numeric_spectrum(
             f"level n = {max_n} is within 3 of the cutoff n_max = {spec.n_max}"
         )
 
-    # (indices, beta = +1 count, (beta U beta)[:, :n_plus], levels, upper-block eigenvectors)
-    sectors: list[tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]] = []
-    for idx, sector in parts.block.sectors(_spin1_group_labels(spec)):
-        fw = eriksen_transform_numeric(sector, tols)
-        n_plus = sector.p
-        upper = fw.h_fw[:n_plus, :n_plus]
-        herm_err = np.linalg.norm(upper - upper.conj().T) / max(np.linalg.norm(upper), 1e-300)
-        if herm_err > 1e-10:
-            raise ArithmeticError(f"positive-energy block not Hermitian: {herm_err:.3e}")
+    # (indices, sector, (beta U beta)[:, :p], levels, upper-block eigenvectors)
+    landau_n, s_z = _spin1_basis(spec)
+    sectors: list[tuple[np.ndarray, BlockOperator, np.ndarray, np.ndarray, np.ndarray]] = []
+    for idx, sector in parts.block.sectors(degeneracy_group(landau_n, s_z, spec.charge)):
+        fw = eriksen_transform_numeric(sector)
+        p = sector.p
+        upper = fw.h_fw[:p, :p]
         evals, evecs = np.linalg.eigh(0.5 * (upper + upper.conj().T))
         if evals[0] <= 0:
             raise ArithmeticError("positive-energy block produced a non-positive level")
-        # beta U beta on the beta = +1 columns: U's columns with rows n_plus: negated
-        u_inv_up = fw.u[:, :n_plus].copy()
-        u_inv_up[n_plus:] *= -1.0
-        sectors.append((idx, n_plus, u_inv_up, evals, evecs))
+        # beta U beta on the beta = +1 columns: U's columns with rows p: negated
+        u_inv_up = fw.u[:, :p].copy()
+        u_inv_up[p:] *= -1.0
+        sectors.append((idx, sector, u_inv_up, evals, evecs))
     ranked = sorted((e, s, j) for s, sector in enumerate(sectors) for j, e in enumerate(sector[3]))
 
-    # beta and beta S_z are diagonal: applied as elementwise products
-    beta = parts.block.beta.diagonal().real
+    txb = np.kron(SPIN1_SX, kit.pi_y) - np.kron(SPIN1_SY, kit.pi_x)
+    inv_pi = 1.0 / np.sqrt(kit.pi_sq.diagonal())  # 1/|pi|, diagonal
     beta_norm_min = math.inf
     level_rows: list[LevelRow] = []
-    inv_root = np.kron(np.eye(3), np.diag(1.0 / np.sqrt(np.diag(kit.pi_sq)[:n_l])))
-    s_z = np.kron(SPIN1_SZ, np.eye(n_l))
-    beta_sz = beta * np.tile(s_z.diagonal(), 2)
-    s_pi = _symmetrized_projection(kit.s_dot_pi, inv_root)
-    txb = np.kron(SPIN1_SX, kit.pi_y) - np.kron(SPIN1_SY, kit.pi_x)
-    s_pxb = _symmetrized_projection(txb, inv_root)
     expectations: list[dict] = []
     zero_means_max = 0.0
 
     for rank, ((e_analytic, grp, n, lam), (e_num, s, j)) in enumerate(zip(rows, ranked)):
-        idx, n_plus, u_inv_up, evals, evecs = sectors[s]
+        idx, sector, u_inv_up, evals, evecs = sectors[s]
         e_num = float(e_num)
-        vec = np.zeros(d_half, dtype=complex)
-        vec[idx[:n_plus]] = evecs[:, j]
-        original = np.zeros(2 * d_half, dtype=complex)
-        original[idx] = u_inv_up @ evecs[:, j]
+        vec = evecs[:, j]
+        original = u_inv_up @ vec
+        # beta and beta S_z are diagonal: applied as elementwise products
+        beta = sector.beta.diagonal().real
         degenerate = int(np.count_nonzero(np.abs(evals - e_num) <= 1e-10 * e_num)) > 1
         bnorm = float((original.conj() @ (beta * original)).real)
         beta_norm_min = min(beta_norm_min, bnorm)
@@ -540,17 +527,16 @@ def spin1_numeric_spectrum(
 
         bfrak = spin1_mixing_parameter(spec, n, lam)
         y = 1.0 / math.sqrt(1.0 + bfrak * bfrak)
-        # the spin projections are Hermitian, so <v|A A|v> = <Av|Av>
-        sz_vec = s_z @ vec
-        spi_vec = s_pi @ vec
-        spxb_vec = s_pxb @ vec
-        sz_num = float((vec.conj() @ sz_vec).real)
-        sz2_num = float(np.vdot(sz_vec, sz_vec).real)
-        spi_num = float((vec.conj() @ spi_vec).real)
-        spxb_num = float((vec.conj() @ spxb_vec).real)
-        spi2_num = float(np.vdot(spi_vec, spi_vec).real)
-        spxb2_num = float(np.vdot(spxb_vec, spxb_vec).real)
-        sz_beta = float((original.conj() @ (beta_sz * original)).real / bnorm)
+        # on the sector's beta = +1 indices: S.pi and S x pi symmetrized with 1/|pi|
+        up = idx[: sector.p]
+        d, block = inv_pi[up], np.ix_(up, up)
+        s_pi, s_pxb = (0.5 * (op[block] * d + d[:, None] * op[block]) for op in (kit.s_dot_pi, txb))
+        # the spin projections A are Hermitian, so <v|A A|v> = <Av|Av>
+        (sz_num, sz2_num), (spi_num, spi2_num), (spxb_num, spxb2_num) = (
+            (float((vec.conj() @ av).real), float(np.vdot(av, av).real))
+            for av in (s_z[up] * vec, s_pi @ vec, s_pxb @ vec)
+        )
+        sz_beta = float((original.conj() @ (beta * s_z[idx] * original)).real / bnorm)
         if not degenerate:
             zero_means_max = max(zero_means_max, abs(spi_num), abs(spxb_num))
         expectations.append(
@@ -603,10 +589,14 @@ def spin1_residual_scaling(
     """Halve the field repeatedly and fit the residual exponent in B.
 
     The closed-form levels omit terms of third combined order in the
-    field-coupling scale, so the fitted exponent should be about 3.
-    ``base``, the spectrum already computed for ``spec`` with
-    ``n_levels`` levels, stands in for the first field value.
+    field-coupling scale, so the fitted exponent should be about 3.  At
+    least 2 halvings are required: a line through 2 points fits them
+    exactly, with R^2 = 1 whatever the residuals.  ``base``, the
+    spectrum already computed for ``spec`` with ``n_levels`` levels,
+    stands in for the first field value.
     """
+    if n_halvings < 2:
+        raise ValueError(f"need at least 2 field halvings for a fit: got {n_halvings}")
     if base is not None and (base.spec != spec or len(base.levels) != n_levels):
         raise ValueError("base spectrum was computed for another spec or level count")
     b_values = [spec.field / (2**j) for j in range(n_halvings + 1)]

@@ -128,6 +128,21 @@ def test_numeric_fw_needs_four_points(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_numeric_fw_rejects_repeated_hbar(capsys):
+    # four values but two points: the fit would pass with R^2 = 1 by construction
+    code, out, err = run(["numeric-fw", "--hbar", "0.2", "0.2", "0.05", "0.05"], capsys)
+    assert code == EXIT_CONFIG
+    assert "distinct" in err and "PASS" not in out
+
+
+def test_spin1_field_study_needs_two_halvings(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g_factor": 2.5, "scaling_study": True, "scaling_halvings": 0}))
+    code, _, err = run(["spin1-spectrum", "--config", str(cfg)], capsys)
+    assert code == EXIT_CONFIG
+    assert "at least 2 field halvings" in err
+
+
 def test_numeric_fw_reports_are_deterministic(tmp_path, capsys):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -300,9 +301,12 @@ def test_indefinite_beta_h_is_rejected():
 
 
 def test_even_part_hermiticity_gate_can_be_tightened_to_failure(rng):
+    # beta*H is exactly Hermitian, so the block still validates at zero
+    # tolerance; the transform's even-part gate reads the same field
     blk = random_block_pseudo(rng, 4)
+    tight = dataclasses.replace(blk, tols=DEFAULT_TOLERANCES.updated(herm_class=0.0))
     with pytest.raises(ClassMismatch, match="even part"):
-        eriksen_transform_numeric(blk, DEFAULT_TOLERANCES.updated(herm_class=0.0))
+        eriksen_transform_numeric(tight)
 
 
 def test_gap_guard():
@@ -559,8 +563,8 @@ def test_study_diffs_stable_under_round_off_in_h_fw(monkeypatch):
     noise = np.random.default_rng(5)
     original = matfun.eriksen_transform_numeric
 
-    def kicked(block, tols=DEFAULT_TOLERANCES):
-        res = original(block, tols)
+    def kicked(block):
+        res = original(block)
         kick = noise.normal(size=res.h_fw.shape)
         res.h_fw = res.h_fw + 1e-15 * np.linalg.norm(res.h_fw, 2) / np.linalg.norm(kick, 2) * kick
         return res
@@ -632,6 +636,9 @@ def test_study_requires_enough_points():
         hbar_convergence_study(_commuting_family, [0.2, 0.1, 0.05])
     with pytest.raises(ValueError):
         hbar_convergence_study(_commuting_family, [0.2, 0.15, 0.11, 0.08])
+    # two distinct points repeated: a line through them always has R^2 = 1
+    with pytest.raises(ValueError, match="distinct"):
+        hbar_convergence_study(_commuting_family, [0.2, 0.2, 0.05, 0.05])
 
 
 def test_tolerances_updated():

@@ -14,6 +14,7 @@ from fwlab.models import (
     Spin1LandauSpec,
     TruncationTooSmall,
     _retained_projector,
+    _spin1_basis,
     _spin1_kit,
     build_lattice_dirac,
     build_spin1_landau,
@@ -195,6 +196,22 @@ def test_h0_commutes_with_spin_projections():
         assert np.linalg.norm(comm, 2) <= 1e-10 * scale * np.linalg.norm(s, 2)
 
 
+@pytest.mark.parametrize("n_max", [8, 60])
+@pytest.mark.parametrize("charge", [1.0, -1.0])
+def test_spin_projections_conserve_the_degeneracy_group(charge, n_max):
+    # what lets the spectrum evaluate expectations inside one sector
+    spec = replace(SPEC_G25, charge=charge, n_max=n_max)
+    kit = _spin1_kit(spec)
+    n, s_z = _spin1_basis(spec)
+    half = 3 * (n_max + 1)
+    labels = degeneracy_group(n[:half], s_z[:half], charge)
+    between = labels[:, None] != labels[None, :]
+    s_cross_pi = np.kron(SPIN1_SX, kit.pi_y) - np.kron(SPIN1_SY, kit.pi_x)
+    for op in (kit.s_dot_pi, s_cross_pi):
+        assert np.count_nonzero(op) > 0
+        assert np.count_nonzero(op[between]) == 0
+
+
 def test_spin1_spec_validation():
     with pytest.raises(ValueError):
         replace(SPEC_G2, field=-0.02)
@@ -317,7 +334,7 @@ def _dense_oracle(spec: Spin1LandauSpec, n_levels: int) -> tuple[np.ndarray, lis
     return levels, rows, min(norms)
 
 
-@pytest.mark.parametrize("g_factor", [2.5, 2.0])
+@pytest.mark.parametrize("g_factor", [2.5, 3.0, 2.0])
 @pytest.mark.parametrize("charge", [1.0, -1.0])
 def test_sector_spectrum_matches_dense_oracle(g_factor, charge):
     spec = replace(SPEC_G2, g_factor=g_factor, charge=charge)
@@ -424,6 +441,14 @@ def test_scaling_study_reuses_matching_base_spectrum():
         spin1_residual_scaling(replace(spec, field=spec.field / 2), 2, 4, base=base)
     with pytest.raises(ValueError):
         spin1_residual_scaling(spec, 2, 6, base=base)
+
+
+@pytest.mark.parametrize("n_halvings", [0, 1])
+def test_scaling_study_needs_two_halvings(n_halvings):
+    # one field value has no slope, and a line through two fits with R^2 = 1
+    spec = replace(SPEC_G25, n_max=24)
+    with pytest.raises(ValueError, match="at least 2 field halvings"):
+        spin1_residual_scaling(spec, n_halvings, 4)
 
 
 def test_closed_form_matches_exact_transform_for_operator_mass():
