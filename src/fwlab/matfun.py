@@ -25,13 +25,12 @@ function without forming an inverse.  The same eigenvalues give the
 spectrum before the transform and the spectral gap min eig(H^2).
 
 Everything after sign(H) runs on the two beta blocks.  beta must be
-diag(+1, ..., +1, -1, ..., -1), as every model builds it and
-``BlockOperator.sectors`` returns it.  This form is checked once, exactly,
-when a ``BlockOperator`` is built (``ClassMismatch`` for any other beta),
-and the block keeps the count p of +1 entries; the closed form, which
-takes a dense beta, checks it there.  An even operator is then
-block-diagonal in the contiguous slices [:p] and [p:], and a product
-with beta is a sign flip of rows or columns.
+diag(+1, ..., +1, -1, ..., -1), as every model builds it.  This form is
+checked once, exactly, when a ``BlockOperator`` is built
+(``ClassMismatch`` for any other beta), and the block keeps the count p
+of +1 entries; the closed form, which takes a dense beta, checks it
+there.  An even operator is then block-diagonal in the contiguous slices
+[:p] and [p:], and a product with beta is a sign flip of rows or columns.
 D = 2 + beta*lambda + lambda*beta is even and Hermitian for both
 classes: D^(-1/2) is taken on its two diagonal blocks, and the spectrum
 after the transform is the sorted union of eigvalsh of the two blocks of
@@ -39,13 +38,9 @@ the even part of H_fw.  The closed form needs M and E exactly even and O
 exactly odd (``ClassMismatch`` otherwise); eps, the kernel, its
 singularity check and both solves are evaluated block by block.
 
-``BlockOperator.sectors`` splits an operator that is exactly
-block-diagonal in a labelling of its basis into validated sub-operators,
-so a model with a conserved label is transformed one sector at a time.
-A block carries the ``Tolerances`` it was validated with (sectors
-inherit them), and the transform and the convergence study gate with
-those: an operator is never checked with one set and transformed with
-another.
+A block carries the ``Tolerances`` it was validated with, and the
+transform and the convergence study gate with those: an operator is
+never checked with one set and transformed with another.
 
 The public matrix roots share one routine, an eigh of a Hermitian
 argument: every root the package takes (of D's blocks and of eps^2) has
@@ -109,8 +104,8 @@ class ClassMismatch(ArithmeticError):
     """A Hermiticity-class identity fails, or beta is not in block form.
 
     Raised for a computed transform that violates its class identity, a
-    non-Hermitian root argument, an operator of the wrong beta parity, an
-    entry between two sector labels, and a beta other than
+    non-Hermitian root argument, an operator of the wrong beta parity, a
+    model entry between two sectors, and a beta other than
     diag(+1, ..., +1, -1, ..., -1).
     """
 
@@ -244,38 +239,6 @@ class BlockOperator:
         Every relative gate on this operator divides by it.
         """
         return spectral_norm(self.matrix)
-
-    def sectors(self, labels: Sequence) -> list[tuple[np.ndarray, "BlockOperator"]]:
-        """Split into the diagonal blocks of a labelling of the basis.
-
-        ``labels`` holds one label per basis index.  ``matrix`` may not
-        have a nonzero entry between two different labels; otherwise
-        ``ClassMismatch`` names the largest such entry (beta is diagonal,
-        so it has none).  Returns one (indices, sector) pair per label, in
-        sorted label order.  The indices ascend, and beta lists its +1
-        entries first, so a sector's leading block is its beta = +1 block.
-        Each sector is validated as a ``BlockOperator`` of the same class
-        and tolerances.
-        """
-        labels = np.asarray(labels)
-        if labels.shape != (self.dim,):
-            raise ValueError(
-                f"need {self.dim} labels, one per basis index: got shape {labels.shape}"
-            )
-        h = self.matrix
-        leak = np.where(labels[:, None] != labels[None, :], np.abs(h), 0.0)
-        if leak.any():
-            i, j = np.unravel_index(np.argmax(leak), leak.shape)
-            raise ClassMismatch(
-                f"matrix[{i}, {j}] = {h[i, j]:.3e} couples label {labels[i].item()!r}"
-                f" to label {labels[j].item()!r}"
-            )
-        out = []
-        for label in sorted(set(labels.tolist())):
-            idx = np.flatnonzero(labels == label)
-            sub = np.ix_(idx, idx)
-            out.append((idx, BlockOperator(h[sub], self.beta[sub], self.herm_class, self.tols)))
-        return out
 
 
 @dataclass
@@ -537,6 +500,8 @@ def hbar_convergence_study(
         raise ValueError("need at least 4 hbar values")
     if len(set(hbars)) < len(hbars):
         raise ValueError(f"hbar values must be distinct: got {hbars}")
+    if hbars[0] <= 0:
+        raise ValueError("hbar values must be positive")
     if hbars[-1] / hbars[0] < 4.0:
         raise ValueError("hbar values must span at least a factor of 4")
     diffs: list[float] = []

@@ -19,12 +19,16 @@ pi^2 is diagonal with Landau eigenvalues |e| hbar B (2n+1) and
 [pi_x, pi_y] = i e hbar B holds on the retained block.  H is
 beta-pseudo-Hermitian with beta = rho3 (x) 1.
 
-H is block-diagonal by the degeneracy-group label k = n - lam*sign(e):
-each group holds at most three (n, lam) states times the two rho
-components, so the spectrum is computed sector by sector (at most 6 x 6
-each) after ``BlockOperator.sectors`` has checked that no entry couples
-two groups.  S.pi and S x pi conserve the label too, so each level's
-beta norm and spin expectations are evaluated inside its sector.
+With O = i rho2 Omega and E = rho3 E', the operators M, E' and Omega
+act on the 3(n_max+1) spin x Landau basis and conserve the
+degeneracy-group label k = n - lam*sign(e): each group holds at most
+three (n, lam) states times the two rho components.  The model is built
+sector by sector (at most 6 x 6 each): ``build_spin1_landau`` checks
+that no entry of M, E' or Omega couples two groups and assembles each
+group's H, rho3 (x) (M + E') + i rho2 (x) Omega, from their blocks; the
+full 6(n_max+1) H is never formed.  S.pi and S x pi conserve the label
+too, so each level's beta norm and spin expectations are evaluated
+inside its sector.
 
 Energy levels are compared against the closed forms
 
@@ -57,6 +61,7 @@ from .matfun import (
     BETA_PSEUDO_HERMITIAN,
     HERMITIAN,
     BlockOperator,
+    ClassMismatch,
     DEFAULT_TOLERANCES,
     ModelOperators,
     Tolerances,
@@ -234,16 +239,19 @@ RHO3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 @dataclass
 class _Spin1Operators:
-    """Internal single-block (spin x Landau) operator kit."""
+    """Internal single-block (spin x Landau) operator kit, basis in (S_z, n) order."""
 
     pi_x: np.ndarray
     pi_y: np.ndarray
     pi_sq: np.ndarray  # exact Landau diagonal
     s_dot_pi: np.ndarray
+    s_cross_pi: np.ndarray  # S x pi along B: S_x pi_y - S_y pi_x
     s_dot_b: np.ndarray  # S.B including the field value
     mass_op: np.ndarray
     field_op: np.ndarray  # inner part of E (upper block sign)
     odd_op: np.ndarray  # Omega
+    s_z: np.ndarray  # S_z eigenvalue of each basis index
+    group: np.ndarray  # degeneracy-group label of each basis index
 
 
 def _spin1_kit(spec: Spin1LandauSpec) -> _Spin1Operators:
@@ -259,6 +267,7 @@ def _spin1_kit(spec: Spin1LandauSpec) -> _Spin1Operators:
     eye3 = np.eye(3)
     pi_sq = np.kron(eye3, np.diag(pi_sq_diag))
     s_dot_pi = np.kron(SPIN1_SX, pi_x) + np.kron(SPIN1_SY, pi_y)
+    s_cross_pi = np.kron(SPIN1_SX, pi_y) - np.kron(SPIN1_SY, pi_x)
     s_dot_b = b * np.kron(SPIN1_SZ, eye_l)
     mass_op = (
         m * np.kron(eye3, eye_l)
@@ -268,40 +277,52 @@ def _spin1_kit(spec: Spin1LandauSpec) -> _Spin1Operators:
     w = e * hbar * (g - 2.0) / (2.0 * m)
     field_op = -w * s_dot_b
     odd_op = pi_sq / (2.0 * m) - (s_dot_pi @ s_dot_pi) / m + w * s_dot_b
-    return _Spin1Operators(pi_x, pi_y, pi_sq, s_dot_pi, s_dot_b, mass_op, field_op, odd_op)
-
-
-def _retained_projector(n_l: int, margin: int) -> np.ndarray:
-    keep = np.ones(n_l)
-    keep[n_l - margin :] = 0.0
-    return np.diag(keep)
+    s_z = np.repeat(np.diag(SPIN1_SZ).astype(int), n_l)
+    group = degeneracy_group(np.tile(np.arange(n_l), 3), s_z, e)
+    return _Spin1Operators(
+        pi_x, pi_y, pi_sq, s_dot_pi, s_cross_pi, s_dot_b, mass_op, field_op, odd_op, s_z, group
+    )
 
 
 def build_spin1_landau(
     spec: Spin1LandauSpec, tols: Tolerances = DEFAULT_TOLERANCES
-) -> ModelOperators:
+) -> tuple[_Spin1Operators, list[tuple[np.ndarray, BlockOperator]]]:
+    """The operator kit and one validated sector per degeneracy group.
+
+    Returns (kit indices, sector) for each group, in ascending label
+    order.  The sector is rho3 (x) (M + E') + i rho2 (x) Omega on
+    the group's kit indices, with beta = rho3 (x) 1, so its beta = +1
+    block comes first; it is validated as a beta-pseudo-Hermitian
+    ``BlockOperator`` with ``tols``.  M, E' and Omega may not have a
+    nonzero entry between two groups (exact zero test, ``ClassMismatch``
+    naming the largest otherwise).
+    """
     kit = _spin1_kit(spec)
     n_l = spec.n_max + 1
-    eye2 = np.eye(2)
-    h = (
-        np.kron(RHO3, kit.mass_op)
-        + np.kron(RHO3, kit.field_op)
-        + np.kron(I_RHO2, kit.odd_op)
-    )
-    beta = np.kron(RHO3, np.eye(3 * n_l))
     # the ladder convention is not trusted: verify the canonical
     # commutator on the block untouched by the cutoff corner
-    proj = _retained_projector(n_l, 1)
     comm = kit.pi_x @ kit.pi_y - kit.pi_y @ kit.pi_x
     target = 1j * spec.charge * spec.hbar * spec.field * np.eye(n_l)
-    err = np.max(np.abs(proj @ (comm - target) @ proj))
+    err = np.max(np.abs((comm - target)[:-1, :-1]))
     if err > 1e-12 * spec.coupling:
         raise AssertionError(f"ladder convention broke [pi_x, pi_y]: error {err:.3e}")
-    block = BlockOperator(h, beta, BETA_PSEUDO_HERMITIAN, tols)
-    m_op = np.kron(eye2, kit.mass_op)
-    e_op = np.kron(RHO3, kit.field_op)
-    o_op = np.kron(I_RHO2, kit.odd_op)
-    return ModelOperators(block, m_op, e_op, o_op)
+    labels = kit.group
+    between = labels[:, None] != labels[None, :]
+    for name, op in (("M", kit.mass_op), ("E'", kit.field_op), ("Omega", kit.odd_op)):
+        leak = np.where(between, np.abs(op), 0.0)
+        if leak.any():
+            i, j = np.unravel_index(np.argmax(leak), leak.shape)
+            raise ClassMismatch(
+                f"{name}[{i}, {j}] = {op[i, j]:.3e} couples group {labels[i]} to group {labels[j]}"
+            )
+    sectors = []
+    for label in sorted(set(labels.tolist())):
+        idx = np.flatnonzero(labels == label)
+        sub = np.ix_(idx, idx)
+        h = np.kron(RHO3, kit.mass_op[sub] + kit.field_op[sub]) + np.kron(I_RHO2, kit.odd_op[sub])
+        beta = np.kron(RHO3, np.eye(len(idx)))
+        sectors.append((idx, BlockOperator(h, beta, BETA_PSEUDO_HERMITIAN, tols)))
+    return kit, sectors
 
 
 # -- closed-form levels ---------------------------------------------------------------
@@ -436,14 +457,6 @@ class SpectrumReport:
         return "\n".join(lines) + "\n"
 
 
-def _spin1_basis(spec: Spin1LandauSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Landau n and S_z eigenvalue of every basis index (rho, S_z, n order)."""
-    n_l = spec.n_max + 1
-    n = np.tile(np.arange(n_l), 6)
-    s_z = np.tile(np.repeat(np.diag(SPIN1_SZ).astype(int), n_l), 2)
-    return n, s_z
-
-
 def spin1_numeric_spectrum(
     spec: Spin1LandauSpec,
     n_levels: int = 10,
@@ -451,9 +464,10 @@ def spin1_numeric_spectrum(
 ) -> SpectrumReport:
     """Diagonalize the spin-1 model and match levels to the closed forms.
 
-    H is block-diagonal by degeneracy group (at most 2 x 3 basis states
-    each); ``BlockOperator.sectors`` checks that no entry couples two
-    groups.  The beta-pseudo-Hermitian eigenproblem of each sector
+    ``n_levels`` must be at least 1.  One ``build_spin1_landau`` call
+    gives the operator kit and the sector of each degeneracy group (at
+    most 2 x 3 basis states); the full-basis H is never formed.  The
+    beta-pseudo-Hermitian eigenproblem of each sector
     (equivalently the Hermitian pencil (beta H, beta)) is solved by
     first applying the exact sign-function block diagonalization, whose
     positive-energy block is Hermitian, and then a Hermitian eigensolver
@@ -466,10 +480,11 @@ def spin1_numeric_spectrum(
     depend on the eigenbasis chosen, so ``zero_means_max`` covers only the
     other levels (0.0 if none).
     """
+    if n_levels < 1:
+        raise ValueError(f"n_levels must be at least 1: got {n_levels}")
     if spec.coupling / spec.mass**2 >= 1.0:
         raise ValueError("weak-coupling sanity |e| hbar B / m^2 < 1 violated")
-    parts = build_spin1_landau(spec, tols)
-    kit = _spin1_kit(spec)
+    kit, groups = build_spin1_landau(spec, tols)
 
     # analytic rows, sorted the way the numeric spectrum will come out
     rows: list[tuple[float, int, int, int]] = []  # (E, k, n, lam)
@@ -486,10 +501,9 @@ def spin1_numeric_spectrum(
             f"level n = {max_n} is within 3 of the cutoff n_max = {spec.n_max}"
         )
 
-    # (indices, sector, (beta U beta)[:, :p], levels, upper-block eigenvectors)
-    landau_n, s_z = _spin1_basis(spec)
+    # (kit indices, sector, (beta U beta)[:, :p], levels, upper-block eigenvectors)
     sectors: list[tuple[np.ndarray, BlockOperator, np.ndarray, np.ndarray, np.ndarray]] = []
-    for idx, sector in parts.block.sectors(degeneracy_group(landau_n, s_z, spec.charge)):
+    for idx, sector in groups:
         fw = eriksen_transform_numeric(sector)
         p = sector.p
         upper = fw.h_fw[:p, :p]
@@ -502,7 +516,6 @@ def spin1_numeric_spectrum(
         sectors.append((idx, sector, u_inv_up, evals, evecs))
     ranked = sorted((e, s, j) for s, sector in enumerate(sectors) for j, e in enumerate(sector[3]))
 
-    txb = np.kron(SPIN1_SX, kit.pi_y) - np.kron(SPIN1_SY, kit.pi_x)
     inv_pi = 1.0 / np.sqrt(kit.pi_sq.diagonal())  # 1/|pi|, diagonal
     beta_norm_min = math.inf
     level_rows: list[LevelRow] = []
@@ -527,16 +540,17 @@ def spin1_numeric_spectrum(
 
         bfrak = spin1_mixing_parameter(spec, n, lam)
         y = 1.0 / math.sqrt(1.0 + bfrak * bfrak)
-        # on the sector's beta = +1 indices: S.pi and S x pi symmetrized with 1/|pi|
-        up = idx[: sector.p]
-        d, block = inv_pi[up], np.ix_(up, up)
-        s_pi, s_pxb = (0.5 * (op[block] * d + d[:, None] * op[block]) for op in (kit.s_dot_pi, txb))
+        # on the group's kit indices: S_z, and S.pi and S x pi symmetrized with 1/|pi|
+        s_z, d, block = kit.s_z[idx], inv_pi[idx], np.ix_(idx, idx)
+        s_pi, s_pxb = (
+            0.5 * (op[block] * d + d[:, None] * op[block]) for op in (kit.s_dot_pi, kit.s_cross_pi)
+        )
         # the spin projections A are Hermitian, so <v|A A|v> = <Av|Av>
         (sz_num, sz2_num), (spi_num, spi2_num), (spxb_num, spxb2_num) = (
             (float((vec.conj() @ av).real), float(np.vdot(av, av).real))
-            for av in (s_z[up] * vec, s_pi @ vec, s_pxb @ vec)
+            for av in (s_z * vec, s_pi @ vec, s_pxb @ vec)
         )
-        sz_beta = float((original.conj() @ (beta * s_z[idx] * original)).real / bnorm)
+        sz_beta = float((original.conj() @ (beta * np.tile(s_z, 2) * original)).real / bnorm)
         if not degenerate:
             zero_means_max = max(zero_means_max, abs(spi_num), abs(spxb_num))
         expectations.append(

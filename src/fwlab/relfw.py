@@ -188,6 +188,7 @@ def eriksen_grade_filter(weight_max: int = 8) -> GradedEvenForm:
 
     At weight w the mass series reaches t**(w//2) and the kernel series
     t**((w-4)//2) (the bare double commutator already has weight 4).
+    ``e_term`` holds only when the bare E enters with coefficient exactly 1.
     """
     if weight_max < 4:
         raise ValueError("the kernel family needs weight_max >= 4")
@@ -196,7 +197,7 @@ def eriksen_grade_filter(weight_max: int = 8) -> GradedEvenForm:
     e_term = False
     for term in cls.backbone:
         if term.pattern == ATOM_E:
-            e_term = True
+            e_term = term.coeff == 1
         else:
             f_coeffs[_family_index(term.pattern, mass_pattern, weight_max)] = term.coeff
     g_coeffs = [Fraction(0)] * ((weight_max - 4) // 2 + 1)

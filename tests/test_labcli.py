@@ -135,6 +135,20 @@ def test_numeric_fw_rejects_repeated_hbar(capsys):
     assert "distinct" in err and "PASS" not in out
 
 
+def test_numeric_fw_rejects_zero_hbar(capsys):
+    # the span check divides by the smallest hbar: the sign is checked first
+    code, out, err = run(["numeric-fw", "--hbar", "0", "0.1", "0.2", "0.4"], capsys)
+    assert code == EXIT_CONFIG
+    assert "config error: hbar values must be positive" in err and "PASS" not in out
+
+
+@pytest.mark.parametrize("n_levels", ["0", "-3"])
+def test_spin1_level_count_below_one_is_config_error(capsys, n_levels):
+    code, out, err = run(["spin1-spectrum", "--n-levels", n_levels], capsys)
+    assert code == EXIT_CONFIG
+    assert "n_levels must be at least 1" in err and "PASS" not in out
+
+
 def test_spin1_field_study_needs_two_halvings(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"g_factor": 2.5, "scaling_study": True, "scaling_halvings": 0}))

@@ -121,67 +121,6 @@ def test_block_operator_validates_class():
         BlockOperator(np.eye(2), beta, "bogus")
 
 
-def _direct_sum(rng, make):
-    """Two random blocks of one class, summed and shuffled; labels say which is which.
-
-    The shuffle permutes the beta = +1 entries among themselves and the
-    -1 entries among themselves, so beta stays diag(+1, ..., -1, ...)
-    while the labels interleave.
-    """
-    a, b = make(rng, 2), make(rng, 3)
-    signs = np.concatenate([a.beta.diagonal().real, b.beta.diagonal().real])
-    perm = np.concatenate([rng.permutation(np.flatnonzero(signs == s)) for s in (1.0, -1.0)])
-    shuffle = np.ix_(perm, perm)
-    h = scipy.linalg.block_diag(a.matrix, b.matrix)[shuffle]
-    beta = scipy.linalg.block_diag(a.beta, b.beta)[shuffle]
-    labels = np.array(["a"] * a.dim + ["b"] * b.dim)[perm]
-    return BlockOperator(h, beta, a.herm_class), labels
-
-
-@pytest.mark.parametrize("make", [random_block_hermitian, random_block_pseudo])
-def test_sectors_split_a_shuffled_direct_sum(rng, make):
-    dense, labels = _direct_sum(rng, make)
-    pieces = dense.sectors(labels)
-    assert [set(labels[idx]) for idx, _ in pieces] == [{"a"}, {"b"}]
-    assert sorted(np.concatenate([idx for idx, _ in pieces])) == list(range(dense.dim))
-    for idx, sector in pieces:
-        assert sector.herm_class == dense.herm_class
-        assert np.array_equal(sector.matrix, dense.matrix[np.ix_(idx, idx)])
-        assert np.array_equal(sector.beta, dense.beta[np.ix_(idx, idx)])
-        # beta = +1 entries first: the leading block is the beta = +1 block
-        half = sector.dim // 2
-        assert list(sector.beta.diagonal().real) == [1.0] * half + [-1.0] * half
-    union = np.concatenate([np.linalg.eigvals(sector.matrix) for _, sector in pieces])
-    dense_spectrum = np.linalg.eigvals(dense.matrix)
-    assert np.max(np.abs(union.imag)) <= 1e-12 and np.max(np.abs(dense_spectrum.imag)) <= 1e-12
-    assert np.allclose(np.sort(union.real), np.sort(dense_spectrum.real), rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("name", ["matrix", "beta"])
-def test_sectors_reject_an_entry_between_labels(rng, name):
-    dense, labels = _direct_sum(rng, random_block_hermitian)
-    (i, j), (k, l) = [(r, c) for r, c in np.argwhere(labels[:, None] != labels[None, :])][:2]
-    ops = {"matrix": dense.matrix.copy(), "beta": dense.beta.copy()}
-    ops[name][i, j] = 1e-15
-    ops[name][k, l] = 3e-15
-    if name == "beta":
-        # beta's block form is tested exactly when the operator is built
-        with pytest.raises(ClassMismatch, match="beta"):
-            BlockOperator(ops["matrix"], ops["beta"], HERMITIAN)
-        return
-    # far below the class gate, so only the exact sector check sees them
-    leaky = BlockOperator(ops["matrix"], ops["beta"], HERMITIAN)
-    with pytest.raises(ClassMismatch, match=rf"matrix\[{k}, {l}\] = 3\.000e-15"):
-        leaky.sectors(labels)
-
-
-def test_sectors_need_one_label_per_index(rng):
-    dense, labels = _direct_sum(rng, random_block_pseudo)
-    for bad in (labels[:-1], np.append(labels, "a"), labels.reshape(1, -1)):
-        with pytest.raises(ValueError, match="one per basis index"):
-            dense.sectors(bad)
-
-
 # -- exact transform ------------------------------------------------------------------
 
 

@@ -4,17 +4,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fwlab.matfun import eriksen_transform_numeric, relfw_hamiltonian_numeric
+from fwlab import models
+from fwlab.matfun import (
+    BETA_PSEUDO_HERMITIAN,
+    BlockOperator,
+    ClassMismatch,
+    ModelOperators,
+    eriksen_transform_numeric,
+    relfw_hamiltonian_numeric,
+)
 from fwlab.models import (
+    I_RHO2,
     LatticeDiracSpec,
     RHO1,
-    SPIN1_SX,
-    SPIN1_SY,
+    RHO3,
     SPIN1_SZ,
     Spin1LandauSpec,
     TruncationTooSmall,
-    _retained_projector,
-    _spin1_basis,
     _spin1_kit,
     build_lattice_dirac,
     build_spin1_landau,
@@ -118,6 +124,39 @@ SPEC_G2 = Spin1LandauSpec(mass=1.0, charge=1.0, g_factor=2.0, field=0.02, hbar=1
 SPEC_G25 = replace(SPEC_G2, g_factor=2.5)
 
 
+def _dense_spin1(spec: Spin1LandauSpec) -> ModelOperators:
+    """The full 6(n_max+1) model by kron products, validated at full size.
+
+    The oracle for the sector build, and the operator for the tests that
+    need H, M, E or O on the whole basis.
+    """
+    kit = _spin1_kit(spec)
+    h = (
+        np.kron(RHO3, kit.mass_op)
+        + np.kron(RHO3, kit.field_op)
+        + np.kron(I_RHO2, kit.odd_op)
+    )
+    beta = np.kron(RHO3, np.eye(len(kit.mass_op)))
+    block = BlockOperator(h, beta, BETA_PSEUDO_HERMITIAN)
+    m_op = np.kron(np.eye(2), kit.mass_op)
+    e_op = np.kron(RHO3, kit.field_op)
+    o_op = np.kron(I_RHO2, kit.odd_op)
+    return ModelOperators(block, m_op, e_op, o_op)
+
+
+def _full_basis_groups(spec: Spin1LandauSpec) -> np.ndarray:
+    """Degeneracy-group label of every index of the (rho, S_z, n) basis."""
+    n_l = spec.n_max + 1
+    n = np.tile(np.arange(n_l), 6)
+    s_z = np.tile(np.repeat([1, 0, -1], n_l), 2)
+    return degeneracy_group(n, s_z, spec.charge)
+
+
+def _retained(n_l: int, margin: int, copies: int) -> np.ndarray:
+    """Projector onto Landau n < n_l - margin, in each of ``copies`` blocks."""
+    return np.diag(np.tile(np.arange(n_l) < n_l - margin, copies).astype(float))
+
+
 def test_pi_squared_is_landau_diagonal():
     kit = _spin1_kit(SPEC_G2)
     diag = np.diag(kit.pi_sq)[: SPEC_G2.n_max + 1].real
@@ -131,10 +170,9 @@ def test_canonical_commutator_on_retained_block():
         spec = replace(SPEC_G2, charge=charge, n_max=20)
         kit = _spin1_kit(spec)
         n_l = spec.n_max + 1
-        proj = _retained_projector(n_l, 1)
         comm = kit.pi_x @ kit.pi_y - kit.pi_y @ kit.pi_x
         target = 1j * charge * spec.hbar * spec.field * np.eye(n_l)
-        assert np.max(np.abs(proj @ (comm - target) @ proj)) <= 1e-14
+        assert np.max(np.abs((comm - target)[:-1, :-1])) <= 1e-14
 
 
 def test_g2_kills_field_term_and_spin_part_of_odd():
@@ -146,7 +184,7 @@ def test_g2_kills_field_term_and_spin_part_of_odd():
 
 
 def test_spin1_block_is_pseudo_hermitian():
-    parts = build_spin1_landau(replace(SPEC_G25, n_max=24))
+    parts = _dense_spin1(replace(SPEC_G25, n_max=24))
     h = parts.block.matrix
     beta = parts.block.beta
     bh = beta @ h
@@ -156,11 +194,9 @@ def test_spin1_block_is_pseudo_hermitian():
 def test_operator_relations_on_retained_block():
     # [O^2, E] = 0 and [O, E] = rho1 * (e^2 hbar^2 (g-1)(g-2) / 2 m^2) (S.B)^2
     spec = replace(SPEC_G25, n_max=30)
-    parts = build_spin1_landau(spec)
+    parts = _dense_spin1(spec)
     kit = _spin1_kit(spec)
-    n_l = spec.n_max + 1
-    proj_half = np.kron(np.eye(3), _retained_projector(n_l, 6))
-    proj = np.kron(np.eye(2), proj_half)
+    proj = _retained(spec.n_max + 1, 6, 6)
     o, e = parts.o_op, parts.e_op
     o2e = proj @ (o @ o @ e - e @ o @ o) @ proj
     assert np.max(np.abs(o2e)) <= 1e-12
@@ -182,14 +218,11 @@ def test_h0_commutes_with_spin_projections():
         - 2.0 * spec.charge * spec.hbar * kit.s_dot_b
     )
     h0 = np.diag(np.sqrt(np.diag(h0_sq).real))
-    proj = np.kron(np.eye(3), _retained_projector(n_l, 4))
+    proj = _retained(n_l, 4, 3)
     inv_root = np.kron(np.eye(3), np.diag(1.0 / np.sqrt(np.diag(kit.pi_sq)[:n_l].real)))
     s_z = np.kron(SPIN1_SZ, np.eye(n_l))
     s_pi = 0.5 * (kit.s_dot_pi @ inv_root + inv_root @ kit.s_dot_pi)
-    txb = np.kron(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / math.sqrt(2), kit.pi_y) - np.kron(
-        np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / math.sqrt(2), kit.pi_x
-    )
-    s_pxb = 0.5 * (txb @ inv_root + inv_root @ txb)
+    s_pxb = 0.5 * (kit.s_cross_pi @ inv_root + inv_root @ kit.s_cross_pi)
     scale = np.linalg.norm(h0, 2)
     for s in (s_z, s_pi, s_pxb):
         comm = proj @ (h0 @ s - s @ h0) @ proj
@@ -202,14 +235,50 @@ def test_spin_projections_conserve_the_degeneracy_group(charge, n_max):
     # what lets the spectrum evaluate expectations inside one sector
     spec = replace(SPEC_G25, charge=charge, n_max=n_max)
     kit = _spin1_kit(spec)
-    n, s_z = _spin1_basis(spec)
-    half = 3 * (n_max + 1)
-    labels = degeneracy_group(n[:half], s_z[:half], charge)
+    labels = _full_basis_groups(spec)[: 3 * (n_max + 1)]
     between = labels[:, None] != labels[None, :]
-    s_cross_pi = np.kron(SPIN1_SX, kit.pi_y) - np.kron(SPIN1_SY, kit.pi_x)
-    for op in (kit.s_dot_pi, s_cross_pi):
+    for op in (kit.s_dot_pi, kit.s_cross_pi):
         assert np.count_nonzero(op) > 0
         assert np.count_nonzero(op[between]) == 0
+
+
+@pytest.mark.parametrize("n_max", [60, 120])
+@pytest.mark.parametrize("charge", [1.0, -1.0])
+@pytest.mark.parametrize("g_factor", [2.5, 2.0])
+def test_sectors_are_the_dense_blocks_of_their_groups(g_factor, charge, n_max):
+    spec = replace(SPEC_G2, g_factor=g_factor, charge=charge, n_max=n_max)
+    dense = _dense_spin1(spec).block
+    labels = _full_basis_groups(spec)
+    half = 3 * (n_max + 1)
+    kit, sectors = build_spin1_landau(spec)
+    assert np.array_equal(kit.group, labels[:half])
+    groups = sorted(set(labels.tolist()))
+    assert len(sectors) == len(groups)
+    inside = np.zeros(dense.matrix.shape, dtype=bool)
+    for label, (idx, sector) in zip(groups, sectors):
+        full = np.flatnonzero(labels == label)
+        assert np.array_equal(full, np.concatenate([idx, idx + half]))
+        block = np.ix_(full, full)
+        assert sector.herm_class == BETA_PSEUDO_HERMITIAN
+        assert np.array_equal(sector.matrix, dense.matrix[block])
+        assert np.array_equal(sector.beta, dense.beta[block])
+        inside[block] = True
+    assert np.count_nonzero(dense.matrix[~inside]) == 0
+
+
+@pytest.mark.parametrize("field, name", [("mass_op", "M"), ("field_op", "E'"), ("odd_op", "Omega")])
+def test_an_entry_between_two_groups_is_refused(monkeypatch, field, name):
+    spec = replace(SPEC_G25, n_max=12)
+    kit = _spin1_kit(spec)
+    i, j = 3, 3 + spec.n_max + 1  # (S_z, n) = (+1, 3) and (0, 3): groups 2 and 3
+    assert kit.group[i] == 2 and kit.group[j] == 3
+    op = getattr(kit, field).astype(complex)
+    assert op[i, j] == 0.0
+    op[i, j] = 1e-15  # far below the class gate, so only the exact check sees it
+    setattr(kit, field, op)
+    monkeypatch.setattr(models, "_spin1_kit", lambda _: kit)
+    with pytest.raises(ClassMismatch, match=rf"{name}\[{i}, {j}\] = 1\.000e-15.* group 2 to group 3"):
+        build_spin1_landau(spec)
 
 
 def test_spin1_spec_validation():
@@ -301,7 +370,7 @@ def test_numeric_charge_conjugation_spectrum():
 
 def _dense_oracle(spec: Spin1LandauSpec, n_levels: int) -> tuple[np.ndarray, list[dict], float]:
     """Levels, expectations and min beta norm from one transform of the dense model."""
-    parts = build_spin1_landau(spec)
+    parts = _dense_spin1(spec)
     fw = eriksen_transform_numeric(parts.block)
     beta = parts.block.beta
     d_half = parts.block.dim // 2
@@ -313,8 +382,7 @@ def _dense_oracle(spec: Spin1LandauSpec, n_levels: int) -> tuple[np.ndarray, lis
     inv_root = np.kron(np.eye(3), np.diag(1.0 / np.sqrt(np.diag(kit.pi_sq)[:n_l])))
     s_z = np.kron(SPIN1_SZ, np.eye(n_l))
     s_pi = 0.5 * (kit.s_dot_pi @ inv_root + inv_root @ kit.s_dot_pi)
-    txb = np.kron(SPIN1_SX, kit.pi_y) - np.kron(SPIN1_SY, kit.pi_x)
-    s_pxb = 0.5 * (txb @ inv_root + inv_root @ txb)
+    s_pxb = 0.5 * (kit.s_cross_pi @ inv_root + inv_root @ kit.s_cross_pi)
     beta_sz = beta @ np.kron(np.eye(2), s_z)
     rows, norms = [], []
     for v in vecs[:, :n_levels].T:
@@ -402,6 +470,16 @@ def test_zero_means_max_covers_every_level_when_none_is_degenerate(g_factor):
     )
 
 
+@pytest.mark.parametrize("n_levels", [0, -3])
+def test_level_count_must_be_positive(monkeypatch, n_levels):
+    def no_build(*args):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(models, "build_spin1_landau", no_build)
+    with pytest.raises(ValueError, match="n_levels must be at least 1"):
+        spin1_numeric_spectrum(SPEC_G2, n_levels)
+
+
 def test_truncation_guard():
     with pytest.raises(TruncationTooSmall):
         spin1_numeric_spectrum(replace(SPEC_G2, n_max=8), n_levels=20)
@@ -458,7 +536,7 @@ def test_closed_form_matches_exact_transform_for_operator_mass():
     diffs = []
     for b in (0.02, 0.01, 0.005):
         spec = replace(SPEC_G25, field=b, n_max=24)
-        parts = build_spin1_landau(spec)
+        parts = _dense_spin1(spec)
         fw = eriksen_transform_numeric(parts.block)
         beta = parts.block.beta
         even = 0.5 * (fw.h_fw + beta @ fw.h_fw @ beta)
@@ -474,7 +552,7 @@ def test_spin1_mass_split_commutes_with_everything():
     # the mass operator is m + (pi^2 - 2 e hbar S.B)/2m, exactly the
     # combination commuting with the odd part; this is what makes the
     # flat-mass series results applicable to the magnetic spin-1 model
-    parts = build_spin1_landau(replace(SPEC_G25, n_max=16))
+    parts = _dense_spin1(replace(SPEC_G25, n_max=16))
     eye = np.eye(parts.block.dim)
     assert np.linalg.norm(parts.m_op - parts.m_op[0, 0] * eye, 2) > 0.01  # operator, not scalar
     for other in (parts.o_op, parts.e_op):

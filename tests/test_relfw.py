@@ -1,10 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwlab import eriksen
+from fwlab import eriksen, relfw
 from fwlab.eriksen import (
     compare_series,
     fw_hamiltonian_series,
@@ -67,6 +68,21 @@ def test_filter_kernel_series():
     filt = eriksen_grade_filter(8)
     assert filt.g == series([F(-1, 16), F(3, 64), F(-5, 128)])
     assert filt.e_term
+
+
+def test_filter_sees_the_coefficient_of_the_bare_e(monkeypatch):
+    # a reference with 2E in place of E must not grade as the closed form
+    original = relfw.reference_terms
+
+    def doubled_field(*args, **kwargs):
+        return [
+            replace(t, coeff=2 * t.coeff, poly=t.poly * 2) if t.name == "even_field" else t
+            for t in original(*args, **kwargs)
+        ]
+
+    monkeypatch.setattr(relfw, "reference_terms", doubled_field)
+    diff = compare_even_forms(relativistic_even_form(8), eriksen_grade_filter(8), 4, 2)
+    assert [(e.component, e.left, e.right) for e in diff.entries] == [("e", True, False)]
 
 
 def test_filter_drops_all_grade_two():
