@@ -130,7 +130,13 @@ def _config_from_sources(cls, file_values: dict, cli_values: dict):
     for f in dataclasses.fields(cls):
         value = getattr(cfg, f.name)
         if isinstance(value, list):
-            setattr(cfg, f.name, tuple(value))
+            value = tuple(value)
+            setattr(cfg, f.name, value)
+        # a nan fails no comparison, so gates and range checks would let it through,
+        # and an inf box length zeroes every diff
+        entries = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+            raise ConfigError(f"{f.name} must be finite: got {value!r}")
     return cfg
 
 
@@ -152,11 +158,18 @@ def _tolerances_from_env() -> Tolerances:
     overrides = {}
     for f in dataclasses.fields(Tolerances):
         env = os.environ.get(f"FWLAB_TOL_{f.name.upper()}")
-        if env is not None:
-            try:
-                overrides[f.name] = float(env)
-            except ValueError as exc:
-                raise ConfigError(f"bad tolerance override for {f.name}: {env}") from exc
+        if env is None:
+            continue
+        try:
+            value = float(env)
+        except ValueError:
+            value = math.nan
+        # each tolerance scales a gate: nan or inf would switch it off, and zero or less is no scale
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(
+                f"bad tolerance override for {f.name}: {env} (need a finite positive number)"
+            )
+        overrides[f.name] = value
     return tols.updated(**overrides) if overrides else tols
 
 

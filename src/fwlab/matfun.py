@@ -42,6 +42,12 @@ A block carries the ``Tolerances`` it was validated with, and the
 transform and the convergence study gate with those: an operator is
 never checked with one set and transformed with another.
 
+Arrays keep the dtype of the operator they come from, promoted to at
+least float64 (an integer input is never kept): a real symmetric H is
+transformed, rooted and compared with the closed form in real
+arithmetic, and a complex H in complex arithmetic.  numpy picks the
+LAPACK and BLAS routine from the dtype; there is no second code path.
+
 The public matrix roots share one routine, an eigh of a Hermitian
 argument: every root the package takes (of D's blocks and of eps^2) has
 one, and a non-Hermitian argument raises ``ClassMismatch``.  Reported
@@ -147,6 +153,12 @@ def spectral_norm(a: np.ndarray) -> float:
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
+def _at_least_float(*arrays) -> list[np.ndarray]:
+    """The arrays in their common dtype, promoted to at least float64 (never integer)."""
+    arrays = [np.asarray(a) for a in arrays]
+    return [a.astype(np.result_type(*arrays, float), copy=False) for a in arrays]
+
+
 def _matrix_root(a: np.ndarray, power: float, tols: Tolerances) -> np.ndarray:
     """Principal a^power for power = 1/2 or -1/2 of a Hermitian a, by eigh.
 
@@ -154,7 +166,7 @@ def _matrix_root(a: np.ndarray, power: float, tols: Tolerances) -> np.ndarray:
     result is gated at ``tols.sqrt_residual``.
     """
     inverse = power < 0
-    a = np.asarray(a, dtype=complex)
+    (a,) = _at_least_float(a)
     scale = np.linalg.norm(a) or 1.0
     skew = np.linalg.norm(a - a.conj().T)
     if skew > 1e-12 * scale:
@@ -207,8 +219,7 @@ class BlockOperator:
     p: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        self.beta = np.asarray(self.beta, dtype=complex)
+        self.matrix, self.beta = _at_least_float(self.matrix, self.beta)
         shape = self.matrix.shape
         if len(shape) != 2 or shape[0] != shape[1] or self.beta.shape != shape:
             raise ValueError("matrix and beta must be square and of one size")
@@ -390,10 +401,7 @@ def relfw_hamiltonian_numeric(
     singularity check and both solves are then evaluated on the beta
     blocks; the result is zero between them.
     """
-    m_op = np.asarray(m_op, dtype=complex)
-    e_op = np.asarray(e_op, dtype=complex)
-    o_op = np.asarray(o_op, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
+    m_op, e_op, o_op, beta = _at_least_float(m_op, e_op, o_op, beta)
     n = beta.shape[0]
     p = _beta_split(beta)
     for name, op, parity in (("M", m_op, "even"), ("E", e_op, "even"), ("O", o_op, "odd")):
@@ -420,7 +428,7 @@ def relfw_hamiltonian_numeric(
         low, high = min(low, eig.min() - skew), max(high, eig.max() + skew)
     if low <= tols.kernel_singularity * max(high, 1.0):
         raise SingularKernel(f"smallest singular value at most {low:.3e}")
-    out = np.zeros((n, n), dtype=complex)
+    out = np.zeros((n, n), dtype=beta.dtype)
     for (b, c, sign), eps_b, w in zip(blocks, eps, kernels):
         # (beta [O,[O,M]] - [O,[O,E]])_bb = [O,[O, sign*M - E]]_bb
         num = _double_comm_block(

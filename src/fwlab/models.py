@@ -1,9 +1,16 @@
 """Concrete model Hamiltonians: 1D lattice Dirac and spin-1 Landau.
 
 The lattice Dirac particle (two-component spinor on a periodic chain
-with a smooth scalar potential and spectral momentum) is the test bed
-for the convergence experiments: the commutator of the odd kinetic term
-with the potential scales linearly in hbar by construction.
+with a smooth scalar potential and central-difference momentum) is the
+test bed for the convergence experiments: the commutator of the odd
+kinetic term with the potential scales linearly in hbar by construction.
+It is built in the real representation alpha = sigma2, beta = sigma3.
+The momentum p = -i k, with k the real antisymmetric central
+difference, is purely imaginary, so sigma2 (x) p = (-i sigma2) (x) k is
+real and H is real symmetric.  With W = diag(1, i) on the two spinor
+components, W H_sigma1 W^dagger = H entry for entry (multiplying by
++-i is exact), so spectra and beta-block norms equal those of the
+sigma1 form.
 
 The spin-1 particle in a uniform magnetic field B = B e_z is built in
 the six-component Hamiltonian (Sakata-Taketani) form restricted to zero
@@ -102,7 +109,11 @@ class MetricAnomaly(ArithmeticError):
 
 @dataclass(frozen=True)
 class LatticeDiracSpec:
-    """Periodic two-component chain: H = sigma3*m + V(x) + sigma1*p."""
+    """Periodic two-component chain: H = sigma3*m + V(x) + sigma2*p, real symmetric.
+
+    Unitarily equivalent to the sigma1 form H_sigma1 = sigma3*m + V(x) +
+    sigma1*p through W = diag(1, i): W H_sigma1 W^dagger = H.
+    """
 
     n_sites: int
     box_length: float
@@ -173,16 +184,13 @@ def build_lattice_dirac(
     n = spec.n_sites
     dx = spec.box_length / n
     shift = np.roll(np.eye(n), -1, axis=1)  # shift[j, j+1] = 1, periodic
-    p = (-1j * spec.hbar / (2.0 * dx)) * (shift - shift.T)
-    v = np.diag(np.asarray(spec.potential, dtype=complex))
-    sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    k = (spec.hbar / (2.0 * dx)) * (shift - shift.T)  # p = -i k
+    v = np.diag(spec.potential)
     sigma3 = np.array([[1.0, 0.0], [0.0, -1.0]])
-    eye2 = np.eye(2)
-    eye_n = np.eye(n)
-    beta = np.kron(sigma3, eye_n)
-    m_op = spec.mass * np.eye(2 * n, dtype=complex)
-    e_op = np.kron(eye2, v)
-    o_op = np.kron(sigma1, p)
+    beta = np.kron(sigma3, np.eye(n))
+    m_op = spec.mass * np.eye(2 * n)
+    e_op = np.kron(np.eye(2), v)
+    o_op = np.kron([[0.0, -1.0], [1.0, 0.0]], k)  # sigma2 (x) p = (-i sigma2) (x) k, real
     h = spec.mass * beta + e_op + o_op
     block = BlockOperator(h, beta, HERMITIAN, tols)
     # applicability diagnostic: de Broglie length at the largest

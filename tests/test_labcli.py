@@ -182,12 +182,14 @@ def test_spin1_spectrum_bad_field_is_config_error(capsys):
 
 
 # for each Tolerances field: an override, and the gate it must trip on a
-# numeric-fw run that passes without one
+# numeric-fw run that passes without one; an override must be positive, so
+# the tightest is the smallest normal double
+TIGHTEST = repr(sys.float_info.min)
 TOLERANCE_GATES = {
-    "herm_class": ("0", "ClassMismatch: even part"),
-    "sqrt_residual": ("0", "IllConditioned"),
+    "herm_class": (TIGHTEST, "ClassMismatch: even part"),
+    "sqrt_residual": (TIGHTEST, "IllConditioned"),
     "spectral_gap": ("1e6", "SpectralGapTooSmall"),
-    "eriksen_condition": ("0", "ClassMismatch: Eriksen condition"),
+    "eriksen_condition": (TIGHTEST, "ClassMismatch: Eriksen condition"),
     "kernel_singularity": ("1e6", "SingularKernel"),
 }
 
@@ -216,6 +218,51 @@ def test_tolerance_env_override_reaches_spin1(capsys, monkeypatch):
     code, _, err = run(argv, capsys)
     assert code == EXIT_CONFIG
     assert "tolerance override" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-12"])
+def test_tolerance_override_must_be_finite_and_positive(value, capsys, monkeypatch):
+    # a nan cap makes every "residual > cap" test False: the gate would be off
+    monkeypatch.setenv("FWLAB_TOL_SQRT_RESIDUAL", value)
+    code, out, err = run(["numeric-fw", "--n-sites", "16"], capsys)
+    assert code == EXIT_CONFIG
+    assert "bad tolerance override for sqrt_residual" in err and "PASS" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["numeric-fw", "--box-length", "inf"], "box_length"),  # passed with every diff 0
+        (["numeric-fw", "--min-slope", "nan"], "min_slope"),
+        (["numeric-fw", "--mass", "nan"], "mass"),
+        (["numeric-fw", "--hbar", "0.2", "0.1", "nan", "0.025"], "hbar_list"),
+        (["numeric-fw", "--hbar", "0.2", "0.1", "0.05", "inf"], "hbar_list"),
+        (["numeric-fw", "--potential-amplitude=-inf"], "potential_amplitude"),
+        (["spin1-spectrum", "--field", "nan"], "field"),
+        (["spin1-spectrum", "--mass", "nan"], "mass"),
+        (["spin1-spectrum", "--hbar", "nan"], "hbar"),
+        (["spin1-spectrum", "--g", "nan"], "g_factor"),
+        (["spin1-spectrum", "--charge", "nan"], "charge"),
+        (["spin1-spectrum", "--field", "inf"], "field"),
+    ],
+)
+def test_non_finite_config_value_is_config_error(argv, field, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_CONFIG
+    assert f"config error: {field} must be finite" in err and "PASS" not in out
+
+
+def test_non_finite_config_file_value_is_config_error(tmp_path, capsys):
+    # json reads NaN and Infinity; an entry of a tuple field is checked too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"hbar_list": [0.2, 0.1, NaN, 0.025], "drift_cap": 1e-9}')
+    code, _, err = run(["numeric-fw", "--config", str(cfg)], capsys)
+    assert code == EXIT_CONFIG
+    assert "hbar_list must be finite" in err
+    cfg.write_text('{"residual_cap": Infinity}')
+    code, _, err = run(["spin1-spectrum", "--config", str(cfg)], capsys)
+    assert code == EXIT_CONFIG
+    assert "residual_cap must be finite" in err
 
 
 def test_usage_errors_are_config_errors(capsys):

@@ -29,7 +29,13 @@ from fwlab.matfun import (
     relfw_hamiltonian_numeric,
     spectral_norm,
 )
-from fwlab.models import LatticeDiracSpec, build_lattice_dirac, random_smooth_potential
+from fwlab.models import (
+    LatticeDiracSpec,
+    Spin1LandauSpec,
+    build_lattice_dirac,
+    build_spin1_landau,
+    random_smooth_potential,
+)
 
 
 # -- matrix functions -----------------------------------------------------------
@@ -119,6 +125,46 @@ def test_block_operator_validates_class():
         BlockOperator(h, beta, BETA_PSEUDO_HERMITIAN)
     with pytest.raises(ValueError):
         BlockOperator(np.eye(2), beta, "bogus")
+
+
+# -- dtypes: arrays keep the operator's own, at least float64 ----------------------
+
+
+def test_real_lattice_is_transformed_in_real_arithmetic():
+    pot = random_smooth_potential(32, 0.4, 1)
+    parts = build_lattice_dirac(LatticeDiracSpec(32, 16.0 * math.pi, 1.0, 0.1, pot))
+    assert parts.block.matrix.dtype == np.float64
+    fw = eriksen_transform_numeric(parts.block)
+    assert fw.u.dtype == np.float64 and fw.h_fw.dtype == np.float64
+    closed = relfw_hamiltonian_numeric(parts.m_op, parts.e_op, parts.o_op, parts.block.beta)
+    assert closed.dtype == np.float64
+
+
+def test_spin1_sector_stays_complex():
+    spec = Spin1LandauSpec(mass=1.0, charge=1.0, g_factor=2.5, field=0.02, hbar=1.0, n_max=20)
+    _, sectors = build_spin1_landau(spec)
+    for _, sector in sectors[:4]:
+        assert sector.matrix.dtype == np.complex128 and sector.beta.dtype == np.complex128
+        fw = eriksen_transform_numeric(sector)
+        assert fw.u.dtype == np.complex128 and fw.h_fw.dtype == np.complex128
+
+
+def test_integer_operator_is_promoted_to_float():
+    beta = np.diag([1, 1, -1, -1])
+    h = 2 * beta + np.kron(np.array([[0, 1], [1, 0]]), np.eye(2, dtype=int))
+    block = BlockOperator(h, beta, HERMITIAN)
+    assert block.matrix.dtype == np.float64 and block.beta.dtype == np.float64
+    fw = eriksen_transform_numeric(block)
+    assert fw.u.dtype == np.float64 and fw.h_fw.dtype == np.float64
+    # levels +-sqrt(5), each twice, on their own beta blocks
+    assert np.allclose(fw.h_fw, np.diag([1.0, 1.0, -1.0, -1.0]) * math.sqrt(5.0), atol=1e-12)
+
+
+def test_root_of_an_integer_matrix_is_float():
+    a = np.array([[2, 1], [1, 2]])
+    r = matrix_sqrt(a)
+    assert r.dtype == np.float64
+    assert np.allclose(r @ r, a, atol=1e-12)
 
 
 # -- exact transform ------------------------------------------------------------------

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from fwlab import models
+from fwlab.labcli import NumericFwConfig
 from fwlab.matfun import (
     BETA_PSEUDO_HERMITIAN,
+    HERMITIAN,
     BlockOperator,
     ClassMismatch,
     ModelOperators,
     eriksen_transform_numeric,
+    hbar_convergence_study,
     relfw_hamiltonian_numeric,
 )
 from fwlab.models import (
@@ -115,6 +118,59 @@ def test_random_smooth_potential_is_deterministic_and_smooth():
 def test_debroglie_ratio_zero_for_flat_potential():
     parts = build_lattice_dirac(_lattice())
     assert parts.debroglie_ratio == 0.0
+
+
+def _lattice_sigma1(spec: LatticeDiracSpec) -> ModelOperators:
+    """The complex alpha = sigma1 model, H = sigma3*m + V(x) + sigma1*p.
+
+    The oracle for the real alpha = sigma2 build: W = diag(1, i) maps
+    this one onto it entry for entry.
+    """
+    n = spec.n_sites
+    dx = spec.box_length / n
+    shift = np.roll(np.eye(n), -1, axis=1)
+    p = (-1j * spec.hbar / (2.0 * dx)) * (shift - shift.T)
+    beta = np.kron(np.diag([1.0, -1.0]), np.eye(n))
+    m_op = spec.mass * np.eye(2 * n, dtype=complex)
+    e_op = np.kron(np.eye(2), np.diag(np.asarray(spec.potential, dtype=complex)))
+    o_op = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), p)
+    h = spec.mass * beta + e_op + o_op
+    return ModelOperators(BlockOperator(h, beta, HERMITIAN), m_op, e_op, o_op)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_real_lattice_is_the_sigma1_model_conjugated_by_w(seed):
+    n = 64
+    spec = _lattice(n=n, L=16.0 * math.pi, pot=random_smooth_potential(n, 0.4, seed))
+    real, oracle = build_lattice_dirac(spec), _lattice_sigma1(spec)
+    w = np.diag(np.concatenate([np.ones(n), np.full(n, 1j)]))
+    pairs = {
+        "H": (real.block.matrix, oracle.block.matrix),
+        "O": (real.o_op, oracle.o_op),
+        "E": (real.e_op, oracle.e_op),
+        "M": (real.m_op, oracle.m_op),
+        "beta": (real.block.beta, oracle.block.beta),
+    }
+    for name, (got, sigma1) in pairs.items():
+        assert got.dtype == np.float64, name
+        # multiplying by +-i is exact, so the conjugate is equal, imaginary part included
+        np.testing.assert_array_equal(w @ sigma1 @ w.conj().T, got, err_msg=name)
+
+
+def test_real_and_sigma1_lattices_give_one_convergence_study():
+    cfg = NumericFwConfig()
+    pot = cosine_potential(64, cfg.potential_amplitude, cfg.potential_harmonics)
+
+    def spec(hbar: float) -> LatticeDiracSpec:
+        return LatticeDiracSpec(64, cfg.box_length, cfg.mass, hbar, pot)
+
+    real = hbar_convergence_study(lambda hb: build_lattice_dirac(spec(hb)), cfg.hbar_list)
+    sigma1 = hbar_convergence_study(lambda hb: _lattice_sigma1(spec(hb)), cfg.hbar_list)
+    np.testing.assert_allclose(real.diff, sigma1.diff, rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(real.spectral_gap, sigma1.spectral_gap, rtol=1e-13, atol=0.0)
+    for rep in (real, sigma1):
+        assert max(rep.odd_residual_rel) <= cfg.odd_residual_cap
+        assert max(rep.spectrum_drift) <= cfg.drift_cap
 
 
 # -- spin-1 construction -----------------------------------------------------------
